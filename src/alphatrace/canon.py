@@ -15,11 +15,13 @@ reduced colored structure determines the hypergraph up to isomorphism.
 from __future__ import annotations
 
 from collections import Counter
+from functools import lru_cache
 
 from .errors import BudgetExceeded
 from .hypergraph import Hypergraph
 
 MAX_CANON_VERTICES = 24
+CANON_CACHE_SIZE = 16384
 
 
 def _refine(adj: list[list[int]], colors: list[int]) -> list[int]:
@@ -65,8 +67,11 @@ def _canonize(adj: list[list[int]], colors: list[int], encode) -> bytes:
     return best
 
 
+@lru_cache(maxsize=CANON_CACHE_SIZE)
 def canonical_form(h: Hypergraph) -> bytes:
-    """Isomorphism-class key; equal keys iff isomorphic hypergraphs."""
+    """Isomorphism-class key; equal keys iff isomorphic hypergraphs.
+
+    Memoized by hypergraph value (``Hypergraph`` is frozen and hashable)."""
     if h.n > MAX_CANON_VERTICES:
         raise BudgetExceeded(
             f"canonical form capped at {MAX_CANON_VERTICES} vertices, got {h.n}",

@@ -123,19 +123,25 @@ def cmd_trace(args) -> int:
     return EXIT_OK
 
 
+def _d_max(args, k: int) -> int:
+    """``--d-max``, defaulting to 2k+2 for the operands' rank k."""
+    return args.d_max if args.d_max is not None else 2 * (k or 2) + 2
+
+
 def cmd_compare(args) -> int:
     h1 = load_source(args.a)
     h2 = load_source(args.b)
     alpha = parse_alpha(args.alpha)
+    d_max = _d_max(args, h1.k)
     if args.symbolic:
-        verdict = ordering.compare_symbolic(h1, h2, args.d_max)
+        verdict = ordering.compare_symbolic(h1, h2, d_max)
         payload = verdict.to_json_dict()
         lines = [f"{args.a} vs {args.b}: {verdict.relation}"]
         if verdict.first_diff_order is not None:
             lines.append(f"  first differing order: {verdict.first_diff_order}")
     else:
         verdict = ordering.compare_at_alpha(
-            h1, h2, alpha, args.d_max, cross_check=args.cross_check
+            h1, h2, alpha, d_max, cross_check=args.cross_check
         )
         payload = verdict.to_json_dict()
         lines = [f"{args.a} vs {args.b} at alpha={alpha}: {verdict.relation}"]
@@ -161,7 +167,7 @@ def cmd_sort(args) -> int:
     filt = _filter_from_flags(args)
     family = enumeration.enumerate_family(filt, max_edges=_budget(args))
     alpha = parse_alpha(args.alpha)
-    ranked = ordering.sort_family(family, alpha, args.d_max)
+    ranked = ordering.sort_family(family, alpha, _d_max(args, args.k))
     payload = {
         "alpha": str(alpha),
         "d_used": ranked.d_used,
@@ -196,7 +202,7 @@ def cmd_enumerate(args) -> int:
 def cmd_verify(args) -> int:
     alpha = parse_alpha(args.alpha)
     report = ordering.verify_theorem(
-        args.theorem, args.k, args.m, alpha, d_max=args.d_max, max_edges=_budget(args)
+        args.theorem, args.k, args.m, alpha, d_max=_d_max(args, args.k), max_edges=_budget(args)
     )
     _emit(args, report.to_json_dict(), [report.to_text()])
     return EXIT_OK if report.holds else EXIT_VIOLATED
@@ -281,14 +287,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "d_max", None) is None and hasattr(args, "d_max"):
-        k = getattr(args, "k", None)
-        if k is None and hasattr(args, "a"):
-            try:
-                k = load_source(args.a).k
-            except AlphaTraceError:
-                k = 2
-        args.d_max = 2 * (k or 2) + 2
     try:
         return args.func(args)
     except UsageError as exc:

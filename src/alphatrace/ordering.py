@@ -8,9 +8,10 @@ polynomial on all of (0, 1) by exact root isolation.  ``sort_family``
 ranks a family, reporting ties as explicit groups.  ``verify_theorem``
 checks the cataloged extremal claims against exhaustive enumeration.
 
-Moment polynomials are cached inside the trace engine (keyed by the
-hypergraph value and the order), so the orderings here are exact, cheap
-to repeat at several weights, and thread-safe.
+Canonical keys and moment polynomials are memoized per process by
+hypergraph value (and, for moments, the order) in bounded LRU caches
+inside ``canon`` and the trace engine, so the orderings here are exact,
+cheap to repeat at several weights, and thread-safe.
 """
 
 from __future__ import annotations

@@ -19,12 +19,14 @@ Two independent evaluation routes are implemented:
   k-valent sub-multigraphs (Veblen infragraphs).  An assignment with a
   nonzero walk count consists of edge rows whose multiset forms such an
   infragraph -- each vertex v then roots exactly deg(v)/k rows -- plus
-  diagonal rows confined to its vertices.  This route stays cheap at
-  every order and is the production path.
+  diagonal rows confined to its vertices.  This is the production
+  path; it is cheap on trees and unicyclic inputs but grows quickly
+  with order on dense ones, and has no budget yet.
 
-Both routes produce a table indexed by (diagonal rows, edge rows); the
-moment polynomial, the degree-tensor slice (alpha = 1), the adjacency
-slice (alpha = 0) and the signless-Laplacian scaling all read off it.
+Both routes produce a table indexed by (diagonal rows, edge rows) and
+build the moment polynomial from it; the degree-tensor slice
+(alpha = 1), the adjacency slice (alpha = 0) and the signless-Laplacian
+scaling (2^d times alpha = 1/2) are evaluations of that polynomial.
 
 Closed forms: orders 1..k-1 are pure degree moments; order k adds a
 term linear in the edge count; order k+1 adds the degree square sum and
@@ -390,7 +392,7 @@ def _root_distributions(h: Hypergraph, support: tuple[int, ...], mu: tuple[int, 
 
 
 def structural_components(h: Hypergraph, d: int) -> Components:
-    """Moment table via the infragraph decomposition (fast at every order)."""
+    """Moment table via the infragraph decomposition."""
     _require_simple(h)
     if d == 0:
         return {(0, 0): Fraction(h.n * (h.k - 1) ** (h.n - 1))}
@@ -440,15 +442,15 @@ def structural_components(h: Hypergraph, d: int) -> Components:
 
 
 @lru_cache(maxsize=16384)
-def _structural_components_cached(h: Hypergraph, d: int) -> tuple:
-    return tuple(sorted(structural_components(h, d).items()))
+def _structural_components_cached(h: Hypergraph, d: int) -> AlphaPoly:
+    return components_to_poly(structural_components(h, d))
 
 
 def trace_structural(h: Hypergraph, d: int) -> AlphaPoly:
     """The d-th moment via the infragraph decomposition."""
     if d == 0:
         return trace_order_zero(h)
-    return components_to_poly(dict(_structural_components_cached(h, d)))
+    return _structural_components_cached(h, d)
 
 
 def trace(h: Hypergraph, d: int, method: str = "auto") -> AlphaPoly:
@@ -466,8 +468,7 @@ def adjacency_moment(h: Hypergraph, d: int) -> Fraction:
     """The d-th moment of the pure adjacency tensor (a rational number)."""
     if d == 0:
         return Fraction(h.n * (h.k - 1) ** (h.n - 1))
-    comp = dict(_structural_components_cached(h, d))
-    return comp.get((0, d), Fraction(0))
+    return _structural_components_cached(h, d).evaluate(Fraction(0))
 
 
 def degree_moment(h: Hypergraph, d: int) -> Fraction:
@@ -479,8 +480,7 @@ def signless_laplacian_moment(h: Hypergraph, d: int) -> Fraction:
     """Moment of D + A, which equals 2^d times the alpha = 1/2 evaluation."""
     if d == 0:
         return Fraction(h.n * (h.k - 1) ** (h.n - 1))
-    comp = dict(_structural_components_cached(h, d))
-    return sum(comp.values(), Fraction(0))
+    return 2**d * _structural_components_cached(h, d).evaluate(Fraction(1, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -589,7 +589,3 @@ def trace_k_plus_2(h: Hypergraph) -> AlphaPoly:
 def _require_simple(h: Hypergraph):
     if not h.is_simple():
         raise HypergraphError("moments are defined for simple hypergraphs")
-
-
-def clear_caches():
-    _structural_components_cached.cache_clear()

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -56,7 +57,9 @@ def test_compare_self_equal(capsys):
         "--alpha", "1/2", "--format", "json",
     )
     assert code == 0
-    assert json.loads(out)["relation"] == "equal-up-to"
+    data = json.loads(out)
+    assert data["relation"] == "equal-up-to"
+    assert data["d_max"] == 8  # default 2k+2 from the first operand
 
 
 def test_compare_symbolic(capsys):
@@ -68,6 +71,13 @@ def test_compare_symbolic(capsys):
     data = json.loads(out)
     assert data["relation"] == "less-on-(0,1)"
     assert data["first_diff_order"] == 2
+
+
+def test_compare_bad_operand(capsys):
+    code, out, err = run(capsys, "compare", "no-such-file.json", "hyperpath:k=3,m=2", "--alpha", "1/2")
+    assert code == 2
+    assert out == ""
+    assert "no-such-file.json" in err
 
 
 def test_compare_alpha_rejects_decimal(capsys):
@@ -137,3 +147,36 @@ def test_trace_from_file(tmp_path, capsys):
     assert code == 0
     data = json.loads(out)
     assert data["hypergraph"]["n"] == 6
+
+
+# sha256 of `verify --format json` stdout and the exit code, per claim, at
+# k=3, m=5, alpha=1/2.  A change that alters these bytes on purpose (for
+# example a new canonical key order) must update the digests and log why.
+VERIFY_GOLDEN = {
+    "5.1": (0, "e5b7db05f37ddb27f425510a6232d437569d5da4d9ec0da661184d959b8460ae"),
+    "5.2": (0, "6a2a6c25499497af7cd035f13c4d0b56ceca7f9a586517b8ad7ea2b8782efb49"),
+    "5.3": (0, "27c9c1f2c9d2faf144140bbcdac8f6c6d9e8d54f0354c32e229d92b3c469fc22"),
+    "5.5": (0, "416cda2baecbed30b47effd443cf8194be62d784352da007be352befa8a0a9f8"),
+    "5.6": (0, "58a49becebca9ef781ffaf80a4a7945a52d1d3de38c66a72d55b2c9fc9cdb69c"),
+    "5.7": (0, "cb9d864dc201c2dcb7b9d6302ef5f05c3d64923c932e613cda6db938ca4bbb41"),
+    "6.2": (0, "8fb7b0944f670bc30516a35774349d7d8b3665ae31cf6c1c61f87f32a4fe313a"),
+    "6.3": (0, "179fa10cf459f39d948fc5fba49053f6141a58ff90f7926d92c15e24eb07f0d7"),
+    "6.4": (0, "dc84940bd28dd5ac04a7da30e6706b76ba0f4cf800e6727de6cf85e4df5c00ac"),
+    "6.5": (0, "b9b54a362b961a4f0b92dbe4f57925763220379b103c5fc562dae23c40dac107"),
+    "6.6": (0, "72c0bd63dcb1f7839d2549dacf06191a4153c6f205cbb92e324ebdca9e89efa4"),
+    "7.1": (0, "6147392fbb6c3ee536f193e7651209ebaeaf233b3d8eebc0502ec2bf55d16045"),
+    "7.2": (0, "96b40de4d490e93caf7403cb47cd1a0596a518da51e0ce1ac81c0f46c9ba84b6"),
+    "7.3": (0, "dcd0422fa60b773015e1c576568952729955f5edac2e48cd5a6796057494c35f"),
+}
+
+
+def test_verify_golden_bytes(capsys):
+    from alphatrace.ordering import list_claims
+
+    assert sorted(VERIFY_GOLDEN) == sorted(cid for cid, _ in list_claims())
+    for cid, (want_code, want_digest) in VERIFY_GOLDEN.items():
+        code, out, _ = run(
+            capsys, "verify", "--theorem", cid, "--k", "3", "--m", "5", "--alpha", "1/2",
+            "--format", "json",
+        )
+        assert (code, hashlib.sha256(out.encode()).hexdigest()) == (want_code, want_digest), cid

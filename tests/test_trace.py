@@ -110,6 +110,11 @@ def test_adjacency_moments():
         for d in range(7):
             expected = matrix_power_trace(h, d).evaluate(Fraction(0))
             assert adjacency_moment(h, d) == expected
+    # the cached polynomial's alpha = 0 slice equals the raw table entry
+    for h in corpus(2, 4) + corpus(3, 3):
+        for d in range(1, 7):
+            raw = structural_components(h, d).get((0, d), Fraction(0))
+            assert adjacency_moment(h, d) == raw, (h, d)
     assert adjacency_moment(TRIANGLE, 3) == 6
     for h in corpus(3, 3):
         for d in (1, 2):
@@ -131,6 +136,11 @@ def test_signless_laplacian_scaling():
             lhs = signless_laplacian_moment(h, d)
             rhs = 2**d * trace_structural(h, d).evaluate(Fraction(1, 2))
             assert lhs == rhs
+    # the cached polynomial's 2^d * (alpha = 1/2) value equals the raw table sum
+    for h in corpus(2, 4) + corpus(3, 3):
+        for d in range(1, 7):
+            raw = sum(structural_components(h, d).values(), Fraction(0))
+            assert signless_laplacian_moment(h, d) == raw, (h, d)
 
 
 def test_closed_forms_match_bruteforce():
