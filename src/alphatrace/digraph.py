@@ -147,12 +147,17 @@ def c_factor(g: MultiDigraph) -> int:
 
 def bareiss_determinant(matrix: Sequence[Sequence[int]]) -> int:
     """Exact integer determinant by fraction-free Bareiss elimination."""
-    n = len(matrix)
+    m = [list(map(int, row)) for row in matrix]
+    if any(len(row) != len(m) for row in m):
+        raise ValueError("matrix must be square")
+    return _bareiss_in_place(m)
+
+
+def _bareiss_in_place(m: list[list[int]]) -> int:
+    """Bareiss elimination on a square integer matrix the caller owns."""
+    n = len(m)
     if n == 0:
         return 1
-    m = [list(map(int, row)) for row in matrix]
-    if any(len(row) != n for row in m):
-        raise ValueError("matrix must be square")
     sign = 1
     prev = 1
     for i in range(n - 1):
@@ -177,24 +182,21 @@ def count_in_arborescences(
 ) -> int:
     """Spanning in-trees toward ``root``: reduced out-Laplacian determinant.
 
-    Loops drop out of the Laplacian, so they are ignored.
+    Loops drop out of the Laplacian, so they are ignored.  The root's row
+    and column are never built.
     """
-    verts = list(vertices)
-    if root not in verts:
+    if root not in vertices:
         raise HypergraphError(f"root {root} not a vertex")
-    idx = {v: i for i, v in enumerate(verts)}
-    n = len(verts)
-    lap = [[0] * n for _ in range(n)]
+    idx = {v: i for i, v in enumerate(v for v in vertices if v != root)}
+    lap = [[0] * len(idx) for _ in idx]
     for (u, v), mu in arc_counts.items():
-        if u == v:
+        if u == v or u == root:
             continue
-        lap[idx[u]][idx[u]] += mu
-        lap[idx[u]][idx[v]] -= mu
-    r = idx[root]
-    reduced = [
-        [lap[i][j] for j in range(n) if j != r] for i in range(n) if i != r
-    ]
-    return bareiss_determinant(reduced)
+        row = lap[idx[u]]
+        row[idx[u]] += mu
+        if v != root:
+            row[idx[v]] -= mu
+    return _bareiss_in_place(lap)
 
 
 def arborescence_count(g: MultiDigraph, root: int) -> int:

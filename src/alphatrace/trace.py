@@ -19,9 +19,19 @@ Two independent evaluation routes are implemented:
   k-valent sub-multigraphs (Veblen infragraphs).  An assignment with a
   nonzero walk count consists of edge rows whose multiset forms such an
   infragraph -- each vertex v then roots exactly deg(v)/k rows -- plus
-  diagonal rows confined to its vertices.  This is the production
-  path; it is cheap on trees and unicyclic inputs but grows quickly
-  with order on dense ones, and has no budget yet.
+  diagonal rows confined to its vertices.  The sum splits into an
+  order-free part and a cheap per-order part.  The order-free part,
+  cached per (hypergraph, edge-row count e), is an integer per degree
+  multiset: each infragraph's rooting-weighted in-arborescence sum,
+  filed under the host degrees of its vertices, vertex v listed
+  deg_F(v)/k times.  Spreading t diagonal rows over those vertices
+  weighs the infragraph by the complete homogeneous symmetric
+  polynomial h_t of that multiset (from sum_j (r+j-1)! (x y)^j / j! =
+  (r-1)! (1 - x y)^{-r}, x a host degree), so order d needs one
+  h_{d-e} per multiset and one ``Fraction`` per entry of the moment
+  table.  This is the production path; it is cheap on trees and
+  unicyclic inputs but grows quickly with order on dense ones, and has
+  no budget yet.
 
 Both routes produce a table indexed by (diagonal rows, edge rows) and
 build the moment polynomial from it; the degree-tensor slice
@@ -52,6 +62,7 @@ from .polynomial import AlphaPoly, basis_term
 
 DEFAULT_MAX_ASSIGNMENT_CLASSES = 2_000_000
 MAX_VEBLEN_EDGES = 40
+TRACE_CACHE_SIZE = 16384
 
 Components = dict[tuple[int, int], Fraction]
 
@@ -284,9 +295,9 @@ def _support_connected(h: Hypergraph, support: list[int]) -> bool:
     return len(roots) == 1
 
 
-def _veblen_vectors(h: Hypergraph, max_total: int):
+def _veblen_vectors(h: Hypergraph, total: int):
     """Yield (edge_indices, multiplicities) of all connected k-valent
-    infragraphs with total multiplicity <= max_total."""
+    infragraphs with total multiplicity exactly ``total``."""
     m = h.m
     k = h.k
     if m == 0:
@@ -304,7 +315,7 @@ def _veblen_vectors(h: Hypergraph, max_total: int):
     def rec(i: int, budget: int):
         if i == m:
             support = [j for j in range(m) if mu[j]]
-            if support and _support_connected(h, support):
+            if budget == 0 and support and _support_connected(h, support):
                 yield tuple(support), tuple(mu[j] for j in support)
             return
         e = h.edges[i]
@@ -324,7 +335,7 @@ def _veblen_vectors(h: Hypergraph, max_total: int):
                 deg[v] -= 1
         mu[i] = 0
 
-    yield from rec(0, max_total)
+    yield from rec(0, total)
 
 
 def enumerate_veblen(
@@ -338,110 +349,122 @@ def enumerate_veblen(
             f"infragraph enumeration capped at {limit} edges, asked {max_edges}",
             {"max_edges": max_edges, "cap": limit},
         )
-    found = sorted(_veblen_vectors(h, max_edges))
+    found = sorted(v for e in range(1, max_edges + 1) for v in _veblen_vectors(h, e))
     return [VeblenInfragraph(h, s, mu) for s, mu in found]
 
 
-def _root_distributions(h: Hypergraph, support: tuple[int, ...], mu: tuple[int, ...]):
-    """Yield, per infragraph, every way to root the edge rows: edge
-    support[j] contributes mu[j] rows, and vertex v roots deg(v)/k of all
-    rows.  Each distribution is a list of {vertex: count} dicts."""
+def _rooted_tree_weight(
+    h: Hypergraph, support: tuple[int, ...], mu: tuple[int, ...], quota: dict[int, int]
+) -> int:
+    """W' of one infragraph: the sum, over every way to root its edge rows
+    (edge support[j] has mu[j] rows, vertex v roots quota[v] of them), of
+    the in-arborescence count of the induced arc digraph times
+    prod_j multinomial(mu[j]; rooting of edge j).  0 when no rooting exists."""
+    edges = [h.edges[i] for i in support]
+    last = {v: j for j, e in enumerate(edges) for v in e}
+    verts = sorted(quota)
+    left = dict(quota)
+    arcs: dict[tuple[int, int], int] = defaultdict(int)
+    total = 0
+
+    def root(j: int, weight: int):
+        nonlocal total
+        if j == len(edges):
+            total += weight * count_in_arborescences(arcs, verts, verts[0])
+        else:
+            place(j, 0, mu[j], weight)
+
+    def place(j: int, vi: int, rows: int, weight: int):
+        # vertex v = edges[j][vi] roots c of edge j's ``rows`` unrooted rows
+        e = edges[j]
+        v = e[vi]
+        lo = rows if vi == len(e) - 1 else 0
+        if last[v] == j:
+            lo = max(lo, left[v])  # no later edge can meet v's quota
+        for c in range(lo, min(rows, left[v]) + 1):
+            left[v] -= c
+            for x in e:
+                if x != v:
+                    arcs[(v, x)] += c
+            w = weight * math.comb(rows, c)
+            if vi == len(e) - 1:
+                root(j + 1, w)
+            else:
+                place(j, vi + 1, rows - c, w)
+            left[v] += c
+            for x in e:
+                if x != v:
+                    arcs[(v, x)] -= c
+
+    root(0, 1)
+    return total
+
+
+@lru_cache(maxsize=TRACE_CACHE_SIZE)
+def _infragraph_table(h: Hypergraph, e: int) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """The order-free part of the structural sum over the infragraphs F
+    with exactly e edge rows, as sorted (degrees, C) pairs.
+
+    ``degrees`` is a sorted multiset of host degrees in which each vertex v
+    of F appears rho_v = deg_F(v)/k times; C sums, over the infragraphs
+    sharing it, (k-1)^{n-|V(F)|} * e!/prod mu_j! * prod_v (rho_v - 1)! * W'
+    (see ``_rooted_tree_weight``).  Infragraphs without a rooting add
+    nothing and are left out.
+    """
     k = h.k
-    deg: dict[int, int] = defaultdict(int)
-    for j, ei in enumerate(support):
-        for v in h.edges[ei]:
-            deg[v] += mu[j]
-    remaining = {v: deg[v] // k for v in deg}
-    assign: list[dict[int, int]] = []
+    deg = h.degrees()
+    table: dict[tuple[int, ...], int] = defaultdict(int)
+    for support, mu in _veblen_vectors(h, e):
+        deg_f: dict[int, int] = defaultdict(int)
+        for ei, c in zip(support, mu):
+            for v in h.edges[ei]:
+                deg_f[v] += c
+        rho = {v: r // k for v, r in deg_f.items()}
+        w = _rooted_tree_weight(h, support, mu, rho)
+        if not w:
+            continue
+        w *= (k - 1) ** (h.n - len(rho)) * math.factorial(e)
+        for c in mu:
+            w //= math.factorial(c)
+        for r in rho.values():
+            w *= math.factorial(r - 1)
+        table[tuple(sorted(deg[v] for v, r in rho.items() for _ in range(r)))] += w
+    return tuple(sorted(table.items()))
 
-    def rec(j: int):
-        if j == len(support):
-            yield [dict(a) for a in assign]
-            return
-        verts = h.edges[support[j]]
-        need = mu[j]
 
-        def comp_rec(vi: int, left: int, current: dict[int, int]):
-            if vi == len(verts) - 1:
-                v = verts[vi]
-                if left <= remaining[v]:
-                    if left:
-                        current[v] = left
-                        remaining[v] -= left
-                    assign.append(dict(current))
-                    yield from rec(j + 1)
-                    assign.pop()
-                    if left:
-                        remaining[v] += left
-                        del current[v]
-                return
-            v = verts[vi]
-            top = min(left, remaining[v])
-            for c in range(top + 1):
-                if c:
-                    current[v] = c
-                    remaining[v] -= c
-                yield from comp_rec(vi + 1, left - c, current)
-                if c:
-                    remaining[v] += c
-                    del current[v]
-
-        yield from comp_rec(0, need, {})
-
-    yield from rec(0)
+def _complete_homogeneous(values: tuple[int, ...], t: int) -> int:
+    """h_t(values): the sum of all degree-t monomials in ``values``."""
+    h = [1] + [0] * t
+    for x in values:
+        for i in range(1, t + 1):
+            h[i] += x * h[i - 1]
+    return h[t]
 
 
 def structural_components(h: Hypergraph, d: int) -> Components:
-    """Moment table via the infragraph decomposition."""
+    """Moment table via the infragraph decomposition.
+
+    Placing t diagonal rows on an infragraph F weighs vertex v's j of them
+    by (rho_v + j - 1)! deg(v)^j / j!, so all placements together weigh F
+    by prod_v (rho_v - 1)! times h_t of F's degree multiset.  Entry
+    (d - e, e) is therefore d / e! times the sum of C * h_{d-e}(degrees)
+    over ``_infragraph_table(h, e)``.
+    """
     _require_simple(h)
     if d == 0:
         return {(0, 0): Fraction(h.n * (h.k - 1) ** (h.n - 1))}
-    k = h.k
-    deg = h.degrees()
-    comp: Components = defaultdict(Fraction)
-    comp[(d, 0)] += Fraction((k - 1) ** (h.n - 1) * sum(x**d for x in deg))
-    for support, mu in _veblen_vectors(h, d):
-        edge_rows = sum(mu)
-        t = d - edge_rows
-        verts = sorted({v for i in support for v in h.edges[i]})
-        rho: dict[int, int] = defaultdict(int)
-        for j, ei in enumerate(support):
-            for v in h.edges[ei]:
-                rho[v] += mu[j]
-        rho = {v: rho[v] // k for v in verts}
-        # generating series per vertex for the diagonal-row placements
-        convo = [Fraction(1)]
-        for v in verts:
-            series = [
-                Fraction(math.factorial(rho[v] + j - 1) * deg[v] ** j, math.factorial(j))
-                for j in range(t + 1)
-            ]
-            new = [Fraction(0)] * (t + 1)
-            for a, ca in enumerate(convo):
-                if ca:
-                    for b in range(t + 1 - a):
-                        new[a + b] += ca * series[b]
-            convo = new
-        nu_weight = convo[t]
-        if nu_weight == 0:
-            continue
-        base = Fraction(d * (k - 1) ** (h.n - len(verts)))
-        for dist in _root_distributions(h, support, mu):
-            arcs: dict[tuple[int, int], int] = defaultdict(int)
-            denom = 1
-            for j, rooted in enumerate(dist):
-                e = h.edges[support[j]]
-                for v, c in rooted.items():
-                    denom *= math.factorial(c)
-                    for x in e:
-                        if x != v:
-                            arcs[(v, x)] += c
-            tau = count_in_arborescences(arcs, verts, verts[0])
-            comp[(t, edge_rows)] += base * tau * nu_weight / denom
-    return dict(comp)
+    comp: Components = {
+        (d, 0): Fraction((h.k - 1) ** (h.n - 1) * sum(x**d for x in h.degrees()))
+    }
+    for e in range(1, d + 1):
+        table = _infragraph_table(h, e)
+        if table:
+            total = sum(c * _complete_homogeneous(degs, d - e) for degs, c in table)
+            comp[(d - e, e)] = Fraction(d * total, math.factorial(e))
+    return comp
 
 
-@lru_cache(maxsize=16384)
+@lru_cache(maxsize=TRACE_CACHE_SIZE)
 def _structural_components_cached(h: Hypergraph, d: int) -> AlphaPoly:
     return components_to_poly(structural_components(h, d))
 

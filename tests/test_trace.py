@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -24,11 +25,22 @@ from alphatrace import (
 )
 from alphatrace.matrix_oracle import matrix_power_trace
 from alphatrace.polynomial import AlphaPoly, basis_term
-from alphatrace.trace import brute_components, k2_complete_term_constant, structural_components
+from alphatrace.trace import (
+    _infragraph_table,
+    _structural_components_cached,
+    brute_components,
+    components_to_poly,
+    k2_complete_term_constant,
+    structural_components,
+)
 from conftest import corpus
 from reference import lemma_sum_reference
 
 TRIANGLE = hypergraph(2, 3, [(0, 1), (0, 2), (1, 2)])
+# K6 minus the path 0-1-2-3-4, one of the dense benchmark inputs
+K6_MINUS_P5 = hypergraph(
+    2, 6, [e for e in combinations(range(6), 2) if e not in {(0, 1), (1, 2), (2, 3), (3, 4)}]
+)
 
 
 def test_phi_examples():
@@ -195,9 +207,39 @@ def test_enumerate_veblen_examples():
 
 
 def test_component_tables_agree():
-    for h in corpus(3, 3):
-        for d in range(6):
-            assert structural_components(h, d) == brute_components(h, d)
+    cases = [(h, 5) for h in corpus(3, 3)] + [(h, 7) for h in corpus(2, 4)]
+    cases.append((hyperpath(4, 2), 6))
+    for h, dmax in cases:
+        for d in range(dmax + 1):
+            assert structural_components(h, d) == brute_components(h, d), (h, d)
+    for d in range(1, 9):
+        poly = components_to_poly(structural_components(K6_MINUS_P5, d))
+        assert poly == matrix_power_trace(K6_MINUS_P5, d), d
+
+
+def test_structural_order_independence():
+    # A cached infragraph table must not depend on which order filled it.
+    # The triangle's three doubled edges share one degree multiset, as do
+    # the three tripled edges of the 3-uniform 3-cycle.
+    inputs = [
+        TRIANGLE,
+        hypergraph(2, 4, [(0, 1), (1, 2), (2, 3), (0, 3), (0, 2)]),
+        hypercycle(3, 3),
+        hypergraph(3, 4, [(0, 1, 2), (0, 1, 3), (0, 2, 3)]),
+    ]
+    orders = range(1, 9)
+
+    def fresh_traces(h, walk):
+        _infragraph_table.cache_clear()
+        _structural_components_cached.cache_clear()
+        return {d: trace_structural(h, d) for d in walk}
+
+    for h in inputs:
+        down = fresh_traces(h, reversed(orders))
+        up = fresh_traces(h, orders)
+        assert down == up, h
+        for d in orders:
+            assert up[d] == trace_bruteforce(h, d), (h, d)
 
 
 def test_rank_four_spot_checks():
