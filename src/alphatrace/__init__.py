@@ -4,7 +4,6 @@ alpha*D + (1-alpha)*A, and the extremal orderings they induce."""
 from .canon import are_isomorphic, canonical_form
 from .enumeration import (
     FamilyFilter,
-    count_complete_subhypergraphs,
     enumerate_family,
     enumerate_hypertrees,
     enumerate_linear_unicyclic,
@@ -41,7 +40,6 @@ from .hypergraph import (
     Hypergraph,
     classify,
     complete_subhypergraphs,
-    degree_sequence,
     diameter,
     girth,
     hypergraph,
@@ -61,10 +59,8 @@ from .ordering import (
 )
 from .polynomial import AlphaPoly
 from .trace import (
-    VeblenInfragraph,
     adjacency_moment,
     degree_moment,
-    enumerate_veblen,
     phi,
     signless_laplacian_moment,
     trace,

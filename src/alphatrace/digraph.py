@@ -26,7 +26,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .assignment import Assignment, DiagonalRow
 from .errors import HypergraphError
-from .hypergraph import Hypergraph
+from .hypergraph import Hypergraph, connects
 
 Arc = tuple[int, int]
 
@@ -67,19 +67,7 @@ class MultiDigraph:
     def is_connected(self) -> bool:
         """Weak connectivity of the non-isolated vertices."""
         touched = {u for (u, v), _ in self.arcs} | {v for (u, v), _ in self.arcs}
-        if len(touched) <= 1:
-            return True
-        parent = {v: v for v in touched}
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for (u, v), _ in self.arcs:
-            parent[find(u)] = find(v)
-        return len({find(v) for v in touched}) == 1
+        return connects(touched, (a for a, _ in self.arcs))
 
     def to_debug_text(self) -> str:
         lines = [f"vertices {list(self.vertices)}"]

@@ -23,7 +23,6 @@ from .hypergraph import (
     LINEAR_UNICYCLIC,
     Hypergraph,
     classify,
-    complete_subhypergraphs,
     diameter,
 )
 
@@ -110,11 +109,6 @@ def enumerate_family(
         got = classify(h)
         assert got.kind == filt.cls, f"enumerated a non-{filt.cls}: {h}"
     return members
-
-
-def count_complete_subhypergraphs(h: Hypergraph) -> int:
-    """|K_{k+1}|: complete k-uniform subhypergraphs on k+1 vertices."""
-    return len(complete_subhypergraphs(h))
 
 
 def labeled_trees_k2(m: int) -> list[Hypergraph]:

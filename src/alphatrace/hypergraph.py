@@ -137,15 +137,10 @@ def loads(text: str) -> Hypergraph:
 
 # -- structural predicates ---------------------------------------------------
 
-def degree_sequence(h: Hypergraph) -> tuple[int, ...]:
-    """Per-vertex degrees (sum of multiplicities of incident edges)."""
-    return h.degrees()
-
-
-def is_connected(h: Hypergraph) -> bool:
-    if h.n <= 1:
-        return True
-    parent = list(range(h.n))
+def connects(vertices: Iterable[int], links: Iterable[Sequence[int]]) -> bool:
+    """Whether ``links`` (vertex groups, each a subset of ``vertices``)
+    join all of ``vertices`` into one component; union-find."""
+    parent = {v: v for v in vertices}
 
     def find(x):
         while parent[x] != x:
@@ -153,11 +148,15 @@ def is_connected(h: Hypergraph) -> bool:
             x = parent[x]
         return x
 
-    for e in h.edges:
-        r = find(e[0])
-        for v in e[1:]:
+    for group in links:
+        r = find(group[0])
+        for v in group[1:]:
             parent[find(v)] = r
-    return len({find(v) for v in range(h.n)}) == 1
+    return len({find(v) for v in parent}) <= 1
+
+
+def is_connected(h: Hypergraph) -> bool:
+    return connects(range(h.n), h.edges)
 
 
 def is_linear(h: Hypergraph) -> bool:

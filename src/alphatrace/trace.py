@@ -24,10 +24,16 @@ Two independent evaluation routes are implemented:
   cached per (hypergraph, edge-row count e), is an integer per degree
   multiset: each infragraph's rooting-weighted in-arborescence sum,
   filed under the host degrees of its vertices, vertex v listed
-  deg_F(v)/k times.  Spreading t diagonal rows over those vertices
-  weighs the infragraph by the complete homogeneous symmetric
-  polynomial h_t of that multiset (from sum_j (r+j-1)! (x y)^j / j! =
-  (r-1)! (1 - x y)^{-r}, x a host degree), so order d needs one
+  deg_F(v)/k times.  That rooting sum depends only on the infragraph's
+  shape (its rows on vertices renumbered by F-degree, incident-row
+  signatures and host label), so it is cached per shape, in one cache
+  shared by every hypergraph and every order of the process: K6 minus
+  a path roots 127 shapes for its 2,314 infragraphs up to order 8, and
+  a relabelled host roots few or none.  Spreading t diagonal rows over
+  those vertices weighs the infragraph by the complete homogeneous
+  symmetric polynomial h_t of that multiset (from
+  sum_j (r+j-1)! (x y)^j / j! = (r-1)! (1 - x y)^{-r}, x a host
+  degree), so order d needs one
   h_{d-e} per multiset and one ``Fraction`` per entry of the moment
   table.  This is the production path; it is cheap on trees and
   unicyclic inputs but grows quickly with order on dense ones, and has
@@ -57,11 +63,10 @@ from itertools import permutations
 
 from .digraph import count_in_arborescences
 from .errors import BudgetExceeded, HypergraphError, UnsupportedError
-from .hypergraph import Hypergraph, complete_subhypergraphs, hypergraph
+from .hypergraph import Hypergraph, complete_subhypergraphs, connects, hypergraph
 from .polynomial import AlphaPoly, basis_term
 
 DEFAULT_MAX_ASSIGNMENT_CLASSES = 2_000_000
-MAX_VEBLEN_EDGES = 40
 TRACE_CACHE_SIZE = 16384
 
 Components = dict[tuple[int, int], Fraction]
@@ -159,17 +164,7 @@ def brute_components(
                 for t in st.targets:
                     arcs[(st.root, t)] += c
         support = sorted({u for u, _ in arcs} | {v for _, v in arcs})
-        parent = {v: v for v in support}
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for u, v in arcs:
-            parent[find(u)] = find(v)
-        if len({find(v) for v in support}) != 1:
+        if not connects(support, arcs):
             return
         tau = count_in_arborescences(arcs, support, support[0])
         if tau == 0:
@@ -243,58 +238,6 @@ def trace_decomposed(
 # Connected k-valent infragraphs and the structural route
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, slots=True)
-class VeblenInfragraph:
-    """A connected sub-multigraph of the host in which every vertex degree
-    is a multiple of k."""
-
-    host: Hypergraph
-    edge_indices: tuple[int, ...]
-    multiplicities: tuple[int, ...]
-
-    @property
-    def total_edges(self) -> int:
-        return sum(self.multiplicities)
-
-    def vertices(self) -> tuple[int, ...]:
-        return tuple(sorted({v for i in self.edge_indices for v in self.host.edges[i]}))
-
-    def degrees(self) -> dict[int, int]:
-        deg: dict[int, int] = defaultdict(int)
-        for i, mu in zip(self.edge_indices, self.multiplicities):
-            for v in self.host.edges[i]:
-                deg[v] += mu
-        return dict(deg)
-
-    def as_hypergraph(self) -> Hypergraph:
-        return hypergraph(
-            self.host.k,
-            self.host.n,
-            [self.host.edges[i] for i in self.edge_indices],
-            self.multiplicities,
-        )
-
-
-def _support_connected(h: Hypergraph, support: list[int]) -> bool:
-    parent: dict[int, int] = {}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for i in support:
-        e = h.edges[i]
-        for v in e:
-            parent.setdefault(v, v)
-        r = find(e[0])
-        for v in e[1:]:
-            parent[find(v)] = r
-    roots = {find(v) for v in parent}
-    return len(roots) == 1
-
-
 def _veblen_vectors(h: Hypergraph, total: int):
     """Yield (edge_indices, multiplicities) of all connected k-valent
     infragraphs with total multiplicity exactly ``total``."""
@@ -315,7 +258,9 @@ def _veblen_vectors(h: Hypergraph, total: int):
     def rec(i: int, budget: int):
         if i == m:
             support = [j for j in range(m) if mu[j]]
-            if budget == 0 and support and _support_connected(h, support):
+            if budget == 0 and support and connects(
+                {v for j in support for v in h.edges[j]}, [h.edges[j] for j in support]
+            ):
                 yield tuple(support), tuple(mu[j] for j in support)
             return
         e = h.edges[i]
@@ -338,41 +283,63 @@ def _veblen_vectors(h: Hypergraph, total: int):
     yield from rec(0, total)
 
 
-def enumerate_veblen(
-    h: Hypergraph, max_edges: int, limit: int = MAX_VEBLEN_EDGES
-) -> list[VeblenInfragraph]:
-    """All connected k-valent infragraphs with total multiplicity <= max_edges,
-    one per multiplicity vector, in deterministic order."""
-    _require_simple(h)
-    if max_edges > limit:
-        raise BudgetExceeded(
-            f"infragraph enumeration capped at {limit} edges, asked {max_edges}",
-            {"max_edges": max_edges, "cap": limit},
-        )
-    found = sorted(v for e in range(1, max_edges + 1) for v in _veblen_vectors(h, e))
-    return [VeblenInfragraph(h, s, mu) for s, mu in found]
+Shape = tuple[tuple[tuple[int, ...], int], ...]
 
 
-def _rooted_tree_weight(
-    h: Hypergraph, support: tuple[int, ...], mu: tuple[int, ...], quota: dict[int, int]
-) -> int:
-    """W' of one infragraph: the sum, over every way to root its edge rows
-    (edge support[j] has mu[j] rows, vertex v roots quota[v] of them), of
-    the in-arborescence count of the induced arc digraph times
-    prod_j multinomial(mu[j]; rooting of edge j).  0 when no rooting exists."""
+def _infragraph_shape(
+    h: Hypergraph, support: tuple[int, ...], mu: tuple[int, ...]
+) -> tuple[Shape, dict[int, int]]:
+    """The infragraph's edge rows on relabelled vertices, and deg_F by host vertex.
+
+    Vertices are numbered 0..|V|-1 in order of deg_F(v), then of the sorted
+    signatures (mu, sorted deg_F of its vertices) of their incident rows,
+    then of host label; the shape is the sorted tuple of (vertex tuple, mu)
+    rows.  Equal shapes are the same labelled infragraph, so they share W';
+    isomorphic infragraphs whose ties fall differently merely get two
+    shapes.
+    """
     edges = [h.edges[i] for i in support]
-    last = {v: j for j, e in enumerate(edges) for v in e}
-    verts = sorted(quota)
-    left = dict(quota)
+    deg_f = dict.fromkeys([v for e in edges for v in e], 0)
+    for e, c in zip(edges, mu):
+        for v in e:
+            deg_f[v] += c
+    incident: dict[int, list] = {v: [] for v in deg_f}
+    for e, c in zip(edges, mu):
+        signature = (c, sorted([deg_f[v] for v in e]))
+        for v in e:
+            incident[v].append(signature)
+    keys = sorted([(deg_f[v], sorted(sigs), v) for v, sigs in incident.items()])
+    label = {key[2]: i for i, key in enumerate(keys)}
+    rows = [(tuple(sorted([label[v] for v in e])), c) for e, c in zip(edges, mu)]
+    return tuple(sorted(rows)), deg_f
+
+
+@lru_cache(maxsize=TRACE_CACHE_SIZE)
+def _rooted_tree_weight(shape: Shape) -> int:
+    """W' of an infragraph shape: the sum, over every way to root its edge
+    rows (row (e, mu) stands for mu rows of edge e, and vertex v roots
+    deg_F(v)/k of them, k the row length), of the in-arborescence count of
+    the induced arc digraph times prod_j multinomial(mu_j; rooting of edge
+    j).  0 when no rooting exists.  Shared by every hypergraph and order."""
+    k = len(shape[0][0])
+    edges = [e for e, _ in shape]
+    verts = list(range(1 + max(v for e in edges for v in e)))
+    deg_f = [0] * len(verts)
+    last = [0] * len(verts)
+    for j, (e, c) in enumerate(shape):
+        for v in e:
+            deg_f[v] += c
+            last[v] = j
+    left = [r // k for r in deg_f]
     arcs: dict[tuple[int, int], int] = defaultdict(int)
     total = 0
 
     def root(j: int, weight: int):
         nonlocal total
         if j == len(edges):
-            total += weight * count_in_arborescences(arcs, verts, verts[0])
+            total += weight * count_in_arborescences(arcs, verts, 0)
         else:
-            place(j, 0, mu[j], weight)
+            place(j, 0, shape[j][1], weight)
 
     def place(j: int, vi: int, rows: int, weight: int):
         # vertex v = edges[j][vi] roots c of edge j's ``rows`` unrooted rows
@@ -408,21 +375,18 @@ def _infragraph_table(h: Hypergraph, e: int) -> tuple[tuple[tuple[int, ...], int
     ``degrees`` is a sorted multiset of host degrees in which each vertex v
     of F appears rho_v = deg_F(v)/k times; C sums, over the infragraphs
     sharing it, (k-1)^{n-|V(F)|} * e!/prod mu_j! * prod_v (rho_v - 1)! * W'
-    (see ``_rooted_tree_weight``).  Infragraphs without a rooting add
-    nothing and are left out.
+    (see ``_rooted_tree_weight``, which is keyed by F's shape).
+    Infragraphs without a rooting add nothing and are left out.
     """
     k = h.k
     deg = h.degrees()
     table: dict[tuple[int, ...], int] = defaultdict(int)
     for support, mu in _veblen_vectors(h, e):
-        deg_f: dict[int, int] = defaultdict(int)
-        for ei, c in zip(support, mu):
-            for v in h.edges[ei]:
-                deg_f[v] += c
-        rho = {v: r // k for v, r in deg_f.items()}
-        w = _rooted_tree_weight(h, support, mu, rho)
+        shape, deg_f = _infragraph_shape(h, support, mu)
+        w = _rooted_tree_weight(shape)
         if not w:
             continue
+        rho = {v: r // k for v, r in deg_f.items()}
         w *= (k - 1) ** (h.n - len(rho)) * math.factorial(e)
         for c in mu:
             w //= math.factorial(c)

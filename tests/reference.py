@@ -6,16 +6,28 @@ entries, builds the arc digraph per row, and counts closed arc
 sequences by backtracking.  It shares no code with the production
 routes (no grouping, no balance pruning, no tree-count formula), so it
 is slow and only usable on tiny instances.
+
+``enumerate_veblen`` lists the connected k-valent infragraphs as
+objects, and ``rooted_tree_weight`` roots one of them on the host's own
+labels; the production route reaches the same weights through
+infragraph shapes.
 """
 
 from __future__ import annotations
 
 import math
+from collections import defaultdict
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement, permutations, product
 
+from alphatrace.digraph import count_in_arborescences
+from alphatrace.errors import BudgetExceeded
 from alphatrace.hypergraph import Hypergraph
 from alphatrace.polynomial import AlphaPoly
+from alphatrace.trace import _require_simple, _veblen_vectors
+
+MAX_VEBLEN_EDGES = 40
 
 
 def count_closed_sequences(arcs: dict[tuple[int, int], int]) -> int:
@@ -114,3 +126,67 @@ def lemma_sum_reference(h: Hypergraph, d: int) -> AlphaPoly:
                 c *= math.factorial(x)
             total = total + pi * Fraction(b * w, c)
     return total * ((k - 1) ** (n - 1))
+
+
+@dataclass(frozen=True, slots=True)
+class VeblenInfragraph:
+    """A connected sub-multigraph of the host in which every vertex degree
+    is a multiple of k."""
+
+    host: Hypergraph
+    edge_indices: tuple[int, ...]
+    multiplicities: tuple[int, ...]
+
+    def degrees(self) -> dict[int, int]:
+        deg: dict[int, int] = defaultdict(int)
+        for i, mu in zip(self.edge_indices, self.multiplicities):
+            for v in self.host.edges[i]:
+                deg[v] += mu
+        return dict(deg)
+
+
+def enumerate_veblen(
+    h: Hypergraph, max_edges: int, limit: int = MAX_VEBLEN_EDGES
+) -> list[VeblenInfragraph]:
+    """All connected k-valent infragraphs with total multiplicity <= max_edges,
+    one per multiplicity vector, in deterministic order."""
+    _require_simple(h)
+    if max_edges > limit:
+        raise BudgetExceeded(
+            f"infragraph enumeration capped at {limit} edges, asked {max_edges}",
+            {"max_edges": max_edges, "cap": limit},
+        )
+    found = sorted(v for e in range(1, max_edges + 1) for v in _veblen_vectors(h, e))
+    return [VeblenInfragraph(h, s, mu) for s, mu in found]
+
+
+def rooted_tree_weight(f: VeblenInfragraph) -> int:
+    """W' of one infragraph on its host labels, rooting by rooting: over
+    every split of each edge's mu rows among its k vertices in which
+    vertex v roots deg_F(v)/k rows in all, the in-arborescence count of
+    the induced arc digraph times prod_j multinomial(mu_j; split of j)."""
+    h = f.host
+    edges = [h.edges[i] for i in f.edge_indices]
+    quota = {v: r // h.k for v, r in f.degrees().items()}
+    verts = sorted(quota)
+    splits = [
+        [c for c in product(range(mu + 1), repeat=h.k) if sum(c) == mu]
+        for mu in f.multiplicities
+    ]
+    total = 0
+    for rooting in product(*splits):
+        rooted = dict.fromkeys(verts, 0)
+        arcs: dict[tuple[int, int], int] = defaultdict(int)
+        weight = 1
+        for e, mu, split in zip(edges, f.multiplicities, rooting):
+            ways = math.factorial(mu)
+            for v, c in zip(e, split):
+                ways //= math.factorial(c)
+                rooted[v] += c
+                for x in e:
+                    if x != v:
+                        arcs[(v, x)] += c
+            weight *= ways
+        if rooted == quota:
+            total += weight * count_in_arborescences(arcs, verts, verts[0])
+    return total

@@ -7,7 +7,7 @@ from alphatrace import (
     FamilyFilter,
     ParameterError,
     classify,
-    count_complete_subhypergraphs,
+    complete_subhypergraphs,
     cycle_with_pendant_star,
     enumerate_family,
     enumerate_hypertrees,
@@ -112,11 +112,11 @@ def test_deterministic_order_under_relabeling():
 
 
 def test_complete_subhypergraph_counts():
-    assert count_complete_subhypergraphs(hyperpath(3, 3)) == 0
+    assert len(complete_subhypergraphs(hyperpath(3, 3))) == 0
     tri = hypergraph(2, 3, [(0, 1), (0, 2), (1, 2)])
-    assert count_complete_subhypergraphs(tri) == 1
+    assert len(complete_subhypergraphs(tri)) == 1
     c3s2 = cycle_with_pendant_star(2, 3, 5)
-    assert count_complete_subhypergraphs(c3s2) == 1
+    assert len(complete_subhypergraphs(c3s2)) == 1
 
 
 def test_dump_family(tmp_path):

@@ -9,7 +9,6 @@ from alphatrace import (
     HypergraphError,
     classify,
     complete_subhypergraphs,
-    degree_sequence,
     diameter,
     girth,
     hypercycle,
@@ -39,9 +38,9 @@ def test_duplicate_edges_merge():
 
 
 def test_degree_sequence_examples():
-    assert degree_sequence(hyperpath(3, 1)) == (1, 1, 1)
-    assert degree_sequence(hyperpath(3, 2)) == (1, 1, 2, 1, 1)
-    assert sorted(degree_sequence(hyperstar(3, 3)), reverse=True) == [3, 1, 1, 1, 1, 1, 1]
+    assert hyperpath(3, 1).degrees() == (1, 1, 1)
+    assert hyperpath(3, 2).degrees() == (1, 1, 2, 1, 1)
+    assert sorted(hyperstar(3, 3).degrees(), reverse=True) == [3, 1, 1, 1, 1, 1, 1]
 
 
 def test_handshake_random():

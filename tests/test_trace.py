@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from itertools import combinations
 
@@ -8,7 +9,6 @@ from alphatrace import (
     UnsupportedError,
     adjacency_moment,
     degree_moment,
-    enumerate_veblen,
     hypercycle,
     hypergraph,
     hyperpath,
@@ -26,7 +26,9 @@ from alphatrace import (
 from alphatrace.matrix_oracle import matrix_power_trace
 from alphatrace.polynomial import AlphaPoly, basis_term
 from alphatrace.trace import (
+    _infragraph_shape,
     _infragraph_table,
+    _rooted_tree_weight,
     _structural_components_cached,
     brute_components,
     components_to_poly,
@@ -34,7 +36,7 @@ from alphatrace.trace import (
     structural_components,
 )
 from conftest import corpus
-from reference import lemma_sum_reference
+from reference import enumerate_veblen, lemma_sum_reference, rooted_tree_weight
 
 TRIANGLE = hypergraph(2, 3, [(0, 1), (0, 2), (1, 2)])
 # K6 minus the path 0-1-2-3-4, one of the dense benchmark inputs
@@ -240,6 +242,50 @@ def test_structural_order_independence():
         assert down == up, h
         for d in orders:
             assert up[d] == trace_bruteforce(h, d), (h, d)
+
+
+def test_shape_weight_matches_host_rooting():
+    # W' read from the shape cache equals the rooting sum on host labels
+    cases = [(h, 7) for h in corpus(2, 4)] + [(h, 5) for h in corpus(3, 3)]
+    cases += [(hyperpath(4, 2), 6), (TRIANGLE, 6), (K6_MINUS_P5, 6)]
+    for h, max_edges in cases:
+        for f in enumerate_veblen(h, max_edges):
+            shape, deg_f = _infragraph_shape(h, f.edge_indices, f.multiplicities)
+            assert deg_f == f.degrees()
+            assert _rooted_tree_weight(shape) == rooted_tree_weight(f), (h, f)
+
+
+def test_structural_relabel_invariance():
+    rng = random.Random(4)
+    for k in (2, 3, 4):
+        for _ in range(6):
+            n = rng.randint(k + 1, 6)
+            pool = list(combinations(range(n), k))
+            h = hypergraph(k, n, rng.sample(pool, rng.randint(1, min(7, len(pool)))))
+            perm = list(range(n))
+            rng.shuffle(perm)
+            g = h.relabel(perm)
+            for d in range(8):
+                assert structural_components(g, d) == structural_components(h, d), (h, perm, d)
+
+
+def test_shape_cache_shared_across_hypergraphs():
+    # The same graph on labels 2..7 of an 8-vertex host keeps every label
+    # order, so each of its infragraphs has a shape the first one rooted.
+    # (An arbitrary permutation may break ties differently and root a few
+    # isomorphic shapes again.)
+    copy = hypergraph(2, 8, [(u + 2, v + 2) for u, v in K6_MINUS_P5.edges])
+    _rooted_tree_weight.cache_clear()
+    _infragraph_table.cache_clear()
+    _structural_components_cached.cache_clear()
+    first = [trace_structural(K6_MINUS_P5, d) for d in range(1, 9)]
+    rooted = _rooted_tree_weight.cache_info().misses
+    assert rooted > 0
+    again = [trace_structural(copy, d) for d in range(1, 9)]
+    assert _rooted_tree_weight.cache_info().misses == rooted
+    # for k = 2, (k-1)^{n-|V|} = 1 and isolated vertices have degree 0, so
+    # only the order-0 moment, not traced here, sees the two extra vertices
+    assert again == first
 
 
 def test_rank_four_spot_checks():
