@@ -19,7 +19,7 @@ from pathlib import Path
 
 from . import enumeration, ordering
 from .errors import AlphaTraceError, BudgetExceeded, MethodDisagreement
-from .families import FamilySpec, build_family, parse_family_string
+from .families import KINDS, FamilySpec, build_family, parse_arms, parse_family_string
 from .hypergraph import HYPERTREE, LINEAR_UNICYCLIC, Hypergraph, loads
 from .trace import trace, trace_bruteforce, trace_order_zero
 
@@ -55,17 +55,27 @@ def parse_alpha(text: str) -> Fraction:
 
 def load_source(text: str) -> Hypergraph:
     """A filesystem path to hypergraph JSON, or a family string."""
-    if ":" in text and not Path(text).exists():
+    if Path(text).exists():
+        return _read_hypergraph(text)
+    if ":" in text:
         return build_family(parse_family_string(text))
-    path = Path(text)
-    if not path.exists():
-        raise UsageError(f"no such file and not a family string: {text!r}")
-    return loads(path.read_text())
+    raise UsageError(f"no such file and not a family string: {text!r}")
+
+
+def _read_hypergraph(path: str) -> Hypergraph:
+    try:
+        text = Path(path).read_text()
+    except OSError as exc:
+        raise UsageError(f"cannot read {path!r}: {exc.strerror}") from exc
+    try:
+        return loads(text)
+    except (ValueError, KeyError, TypeError) as exc:
+        raise UsageError(f"{path!r} is not hypergraph JSON: {exc!r}") from exc
 
 
 def _family_from_flags(args) -> Hypergraph:
     if args.input:
-        return loads(Path(args.input).read_text())
+        return _read_hypergraph(args.input)
     if not args.family:
         raise UsageError("provide --input FILE or --family NAME with its parameters")
     params: dict = {}
@@ -78,7 +88,7 @@ def _family_from_flags(args) -> Hypergraph:
         if value is not None:
             params[name] = value
     if args.arms:
-        params["arms"] = tuple(int(x) for x in args.arms.split("-"))
+        params["arms"] = parse_arms(args.arms)
     if args.k is None:
         raise UsageError("--k is required with --family")
     return build_family(FamilySpec(args.family, args.k, params))
@@ -213,7 +223,10 @@ def _budget(args) -> int:
     if args.max_edges is not None:
         return args.max_edges
     if env:
-        return int(env)
+        try:
+            return int(env)
+        except ValueError:
+            raise UsageError(f"{BUDGET_ENV} must be an integer, got {env!r}") from None
     return enumeration.DEFAULT_MAX_EDGES
 
 
@@ -230,7 +243,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("trace", help="moment polynomials of one hypergraph")
     p.add_argument("--input", help="hypergraph JSON file")
-    p.add_argument("--family", help="family name (hyperpath, hyperstar, hypercycle, cg-odot-s, c3-split, cg-dot-p, starlike, fmk)")
+    p.add_argument("--family", help=f"family name ({', '.join(KINDS)})")
     p.add_argument("--k", type=int)
     p.add_argument("--m", type=int)
     p.add_argument("--g", type=int)

@@ -24,9 +24,8 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-from .assignment import Assignment, DiagonalRow
 from .errors import HypergraphError
-from .hypergraph import Hypergraph, connects
+from .hypergraph import connects
 
 Arc = tuple[int, int]
 
@@ -94,23 +93,6 @@ def multidigraph(
     else:
         vs = sorted(set(vertices) | {u for u, _ in counts} | {v for _, v in counts})
     return MultiDigraph(tuple(vs), tuple(sorted(counts.items())))
-
-
-def from_assignment(f: Assignment, h: Hypergraph) -> MultiDigraph:
-    """The arc multiset induced by an assignment: each row contributes the
-    star of k-1 arcs from its root (a diagonal row yields k-1 loops)."""
-    f.validate(h)
-    counts: dict[Arc, int] = {}
-    for row in f.rows:
-        if isinstance(row, DiagonalRow):
-            a = (row.vertex, row.vertex)
-            counts[a] = counts.get(a, 0) + h.k - 1
-        else:
-            for x in h.edges[row.edge]:
-                if x != row.root:
-                    a = (row.root, x)
-                    counts[a] = counts.get(a, 0) + 1
-    return multidigraph(counts)
 
 
 def b_factor(g: MultiDigraph) -> int:

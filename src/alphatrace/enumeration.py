@@ -111,41 +111,6 @@ def enumerate_family(
     return members
 
 
-def labeled_trees_k2(m: int) -> list[Hypergraph]:
-    """Independent oracle for k = 2 tree counts: all labeled trees on m+1
-    vertices via Pruefer sequences."""
-    from itertools import product
-
-    from .hypergraph import hypergraph
-
-    n = m + 1
-    if n == 1:
-        return [hypergraph(2, 1, [])]
-    if n == 2:
-        return [hypergraph(2, 2, [(0, 1)])]
-    out = []
-    for seq in product(range(n), repeat=n - 2):
-        degree = [1] * n
-        for v in seq:
-            degree[v] += 1
-        edges = []
-        seq_list = list(seq)
-        leaves = sorted(v for v in range(n) if degree[v] == 1)
-        import heapq
-
-        heap = leaves[:]
-        heapq.heapify(heap)
-        for v in seq_list:
-            leaf = heapq.heappop(heap)
-            edges.append((leaf, v))
-            degree[v] -= 1
-            if degree[v] == 1:
-                heapq.heappush(heap, v)
-        edges.append(tuple(sorted(heap)))
-        out.append(hypergraph(2, n, edges))
-    return out
-
-
 def dump_family(
     directory: str | Path, members: list[Hypergraph], filt: FamilyFilter
 ) -> Path:

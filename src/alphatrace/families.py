@@ -157,15 +157,17 @@ def _check_k(k: int):
 # Tagged family specs, usable from the CLI and serializable configs.
 # ---------------------------------------------------------------------------
 
-_KINDS = {
-    "hyperpath": ("m",),
-    "hyperstar": ("m",),
-    "hypercycle": ("m",),
-    "cg-odot-s": ("g", "m"),
-    "c3-split": ("n1", "n2", "n3"),
-    "cg-dot-p": ("g", "m"),
-    "starlike": ("arms",),
-    "fmk": ("m",),
+# kind -> (required params, builder); the builder takes k, then the
+# params in the listed order.
+KINDS = {
+    "hyperpath": (("m",), hyperpath),
+    "hyperstar": (("m",), hyperstar),
+    "hypercycle": (("m",), hypercycle),
+    "cg-odot-s": (("g", "m"), cycle_with_pendant_star),
+    "c3-split": (("n1", "n2", "n3"), triangle_with_pendant_counts),
+    "cg-dot-p": (("g", "m"), cycle_with_tail),
+    "starlike": (("arms",), starlike),
+    "fmk": (("m",), path_with_branch),
 }
 
 
@@ -176,32 +178,24 @@ class FamilySpec:
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.kind not in _KINDS:
+        if self.kind not in KINDS:
             raise ParameterError(f"unknown family kind {self.kind!r}")
-        missing = [p for p in _KINDS[self.kind] if p not in self.params]
+        missing = [p for p in KINDS[self.kind][0] if p not in self.params]
         if missing:
             raise ParameterError(f"family {self.kind!r} missing params {missing}")
 
 
 def build_family(spec: FamilySpec) -> Hypergraph:
-    k, p = spec.k, spec.params
-    if spec.kind == "hyperpath":
-        return hyperpath(k, p["m"])
-    if spec.kind == "hyperstar":
-        return hyperstar(k, p["m"])
-    if spec.kind == "hypercycle":
-        return hypercycle(k, p["m"])
-    if spec.kind == "cg-odot-s":
-        return cycle_with_pendant_star(k, p["g"], p["m"])
-    if spec.kind == "c3-split":
-        return triangle_with_pendant_counts(k, p["n1"], p["n2"], p["n3"])
-    if spec.kind == "cg-dot-p":
-        return cycle_with_tail(k, p["g"], p["m"])
-    if spec.kind == "starlike":
-        return starlike(k, tuple(p["arms"]))
-    if spec.kind == "fmk":
-        return path_with_branch(k, p["m"])
-    raise ParameterError(f"unknown family kind {spec.kind!r}")
+    names, build = KINDS[spec.kind]
+    return build(spec.k, *(spec.params[name] for name in names))
+
+
+def parse_arms(text: str) -> tuple[int, ...]:
+    """Starlike arm lengths written like "2-1-1"."""
+    try:
+        return tuple(int(x) for x in text.split("-"))
+    except ValueError:
+        raise ParameterError(f"arm lengths must be integers joined by '-', got {text!r}") from None
 
 
 def parse_family_string(text: str) -> FamilySpec:
@@ -213,12 +207,19 @@ def parse_family_string(text: str) -> FamilySpec:
     for piece in filter(None, (s.strip() for s in rest.split(","))):
         key, _, value = piece.partition("=")
         key = key.strip()
+        if key == "arms":
+            params["arms"] = parse_arms(value)
+            continue
+        try:
+            number = int(value)
+        except ValueError:
+            raise ParameterError(
+                f"family string {text!r}: {key} must be an integer, got {value!r}"
+            ) from None
         if key == "k":
-            k = int(value)
-        elif key == "arms":
-            params["arms"] = tuple(int(x) for x in value.split("-"))
+            k = number
         else:
-            params[key] = int(value)
+            params[key] = number
     if k is None:
         raise ParameterError(f"family string {text!r} must set k")
     return FamilySpec(kind, k, params)

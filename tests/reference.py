@@ -11,19 +11,25 @@ is slow and only usable on tiny instances.
 objects, and ``rooted_tree_weight`` roots one of them on the host's own
 labels; the production route reaches the same weights through
 infragraph shapes.
+
+``Assignment`` and ``from_assignment`` spell out one index assignment
+of the brute-force moment sum and the arc digraph it induces;
+``labeled_trees_k2`` lists every labeled tree through Pruefer
+sequences, an independent count for k = 2 tree enumeration.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement, permutations, product
 
-from alphatrace.digraph import count_in_arborescences
-from alphatrace.errors import BudgetExceeded
-from alphatrace.hypergraph import Hypergraph
+from alphatrace.digraph import MultiDigraph, count_in_arborescences, multidigraph
+from alphatrace.errors import BudgetExceeded, HypergraphError
+from alphatrace.hypergraph import Hypergraph, hypergraph
 from alphatrace.polynomial import AlphaPoly
 from alphatrace.trace import _require_simple, _veblen_vectors
 
@@ -190,3 +196,113 @@ def rooted_tree_weight(f: VeblenInfragraph) -> int:
         if rooted == quota:
             total += weight * count_in_arborescences(arcs, verts, verts[0])
     return total
+
+
+# -- index assignments: the unit of the brute-force moment sum ---------------
+#
+# An assignment is a sorted tuple of d rows; each row is either the
+# diagonal index (v, v, ..., v) or a hyperedge rooted at one of its
+# vertices with a chosen permutation of the remaining k-1 vertices.
+# These are exactly the rows that can contribute a nonzero entry product
+# for the weighted degree/adjacency tensor.
+
+
+@dataclass(frozen=True, slots=True)
+class DiagonalRow:
+    vertex: int
+
+    @property
+    def root(self) -> int:
+        return self.vertex
+
+
+@dataclass(frozen=True, slots=True)
+class EdgeRow:
+    edge: int
+    root: int
+    perm: int = 0  # which of the (k-1)! orderings of the non-root vertices
+
+
+Row = DiagonalRow | EdgeRow
+
+
+@dataclass(frozen=True, slots=True)
+class Assignment:
+    rows: tuple[Row, ...]
+
+    @property
+    def order(self) -> int:
+        return len(self.rows)
+
+    def validate(self, h) -> None:
+        prev = None
+        for row in self.rows:
+            if isinstance(row, DiagonalRow):
+                if not 0 <= row.vertex < h.n:
+                    raise HypergraphError(f"diagonal row vertex {row.vertex} out of range")
+            else:
+                if not 0 <= row.edge < h.m:
+                    raise HypergraphError(f"edge index {row.edge} out of range")
+                if row.root not in h.edges[row.edge]:
+                    raise HypergraphError(
+                        f"root {row.root} not in edge {h.edges[row.edge]}"
+                    )
+                if not 0 <= row.perm < math.factorial(h.k - 1):
+                    raise HypergraphError(f"permutation id {row.perm} out of range")
+            if prev is not None and row.root < prev:
+                raise HypergraphError("rows must be sorted by root index")
+            prev = row.root
+
+    def word(self, row: Row, h) -> tuple[int, ...]:
+        """The full index tuple (root, then k-1 trailing indices) of a row."""
+        if isinstance(row, DiagonalRow):
+            return (row.vertex,) * h.k
+        others = tuple(v for v in h.edges[row.edge] if v != row.root)
+        perm = list(permutations(others))[row.perm]
+        return (row.root,) + perm
+
+
+def from_assignment(f: Assignment, h: Hypergraph) -> MultiDigraph:
+    """The arc multiset induced by an assignment: each row contributes the
+    star of k-1 arcs from its root (a diagonal row yields k-1 loops)."""
+    f.validate(h)
+    counts: dict[tuple[int, int], int] = {}
+    for row in f.rows:
+        if isinstance(row, DiagonalRow):
+            a = (row.vertex, row.vertex)
+            counts[a] = counts.get(a, 0) + h.k - 1
+        else:
+            for x in h.edges[row.edge]:
+                if x != row.root:
+                    a = (row.root, x)
+                    counts[a] = counts.get(a, 0) + 1
+    return multidigraph(counts)
+
+
+def labeled_trees_k2(m: int) -> list[Hypergraph]:
+    """Independent oracle for k = 2 tree counts: all labeled trees on m+1
+    vertices via Pruefer sequences."""
+    n = m + 1
+    if n == 1:
+        return [hypergraph(2, 1, [])]
+    if n == 2:
+        return [hypergraph(2, 2, [(0, 1)])]
+    out = []
+    for seq in product(range(n), repeat=n - 2):
+        degree = [1] * n
+        for v in seq:
+            degree[v] += 1
+        edges = []
+        seq_list = list(seq)
+        leaves = sorted(v for v in range(n) if degree[v] == 1)
+        heap = leaves[:]
+        heapq.heapify(heap)
+        for v in seq_list:
+            leaf = heapq.heappop(heap)
+            edges.append((leaf, v))
+            degree[v] -= 1
+            if degree[v] == 1:
+                heapq.heappush(heap, v)
+        edges.append(tuple(sorted(heap)))
+        out.append(hypergraph(2, n, edges))
+    return out

@@ -1,20 +1,25 @@
 import pytest
 
 from alphatrace import hyperpath
-from alphatrace.assignment import Assignment, DiagonalRow, EdgeRow
 from alphatrace.digraph import (
     arborescence_count,
     b_factor,
     bareiss_determinant,
     c_factor,
     euler_tour_count,
-    from_assignment,
     hierholzer_tour,
     multidigraph,
     tour_sequence_count,
 )
 from alphatrace.errors import HypergraphError
-from reference import count_rotation_tours, count_closed_sequences
+from reference import (
+    Assignment,
+    DiagonalRow,
+    EdgeRow,
+    count_closed_sequences,
+    count_rotation_tours,
+    from_assignment,
+)
 
 
 def complete_digraph(k):

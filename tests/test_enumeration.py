@@ -16,8 +16,9 @@ from alphatrace import (
     hyperpath,
 )
 from alphatrace.canon import canonical_form
-from alphatrace.enumeration import dump_family, labeled_trees_k2
+from alphatrace.enumeration import dump_family
 from alphatrace.hypergraph import diameter, girth
+from reference import labeled_trees_k2
 
 
 def test_k2_tree_counts_match_unlabeled_sequence():
