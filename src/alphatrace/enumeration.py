@@ -141,7 +141,7 @@ def dump_family(
 
 def _check_budget(k: int, m: int, max_edges: int):
     if k not in SUPPORTED_K:
-        raise BudgetExceeded(f"enumeration supports k in {SUPPORTED_K}, got {k}", {"k": k})
+        raise ParameterError(f"enumeration supports k in {SUPPORTED_K}, got {k}")
     if m > max_edges:
         raise BudgetExceeded(
             f"enumeration capped at {max_edges} edges, asked m={m}",

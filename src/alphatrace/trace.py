@@ -35,9 +35,16 @@ Two independent evaluation routes are implemented:
   sum_j (r+j-1)! (x y)^j / j! = (r-1)! (1 - x y)^{-r}, x a host
   degree), so order d needs one
   h_{d-e} per multiset and one ``Fraction`` per entry of the moment
-  table.  This is the production path; it is cheap on trees and
-  unicyclic inputs but grows quickly with order on dense ones, and has
-  no budget yet.
+  table.  The infragraphs with e rows come from a walk over the edges
+  in order that fixes one multiplicity per edge: an edge that is the
+  last one at some vertex may only take multiplicities that make that
+  vertex's degree a multiple of k, so the walk steps through one
+  residue class mod k, and it ends a branch as soon as the e rows are
+  spent.  This is the production path; it is cheap on trees and
+  unicyclic inputs but grows quickly with order on dense ones.  Each
+  walk is capped at ``MAX_WALK_NODES`` partial assignments and raises
+  ``BudgetExceeded`` with (k, n, m, e, nodes, infragraphs so far) past
+  it.
 
 Both routes produce a table indexed by (diagonal rows, edge rows) and
 build the moment polynomial from it; the degree-tensor slice
@@ -67,6 +74,7 @@ from .hypergraph import Hypergraph, complete_subhypergraphs, connects, hypergrap
 from .polynomial import AlphaPoly, basis_term
 
 DEFAULT_MAX_ASSIGNMENT_CLASSES = 2_000_000
+MAX_WALK_NODES = 10_000_000
 TRACE_CACHE_SIZE = 16384
 
 Components = dict[tuple[int, int], Fraction]
@@ -238,13 +246,23 @@ def trace_decomposed(
 # Connected k-valent infragraphs and the structural route
 # ---------------------------------------------------------------------------
 
-def _veblen_vectors(h: Hypergraph, total: int):
-    """Yield (edge_indices, multiplicities) of all connected k-valent
-    infragraphs with total multiplicity exactly ``total``."""
-    m = h.m
-    k = h.k
-    if m == 0:
-        return
+def _veblen_vectors(
+    h: Hypergraph, total: int
+) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """(edge_indices, multiplicities) of all connected k-valent infragraphs
+    with total multiplicity exactly ``total``, in lexicographic order of
+    the multiplicity vector.
+
+    Edge i closes the vertices whose last edge it is, so its multiplicity
+    must be -deg(v) mod k for each of them: the walk steps through that
+    residue class only, and stops at once where two closing vertices
+    disagree.  When the budget runs out, one check over the vertices still
+    open settles the rest.  Each visited partial assignment counts against
+    ``MAX_WALK_NODES``.
+    """
+    m, k = h.m, h.k
+    if m == 0 or total < 1:
+        return []
     last_edge = {}
     for i, e in enumerate(h.edges):
         for v in e:
@@ -252,35 +270,57 @@ def _veblen_vectors(h: Hypergraph, total: int):
     close_at: list[list[int]] = [[] for _ in range(m)]
     for v, i in last_edge.items():
         close_at[i].append(v)
-    deg = defaultdict(int)
+    open_from = [[v for v, last in last_edge.items() if last >= i] for i in range(m + 1)]
+    deg = dict.fromkeys(last_edge, 0)
     mu = [0] * m
+    found = []
+    nodes = 0
 
     def rec(i: int, budget: int):
-        if i == m:
-            support = [j for j in range(m) if mu[j]]
-            if budget == 0 and support and connects(
-                {v for j in support for v in h.edges[j]}, [h.edges[j] for j in support]
-            ):
-                yield tuple(support), tuple(mu[j] for j in support)
+        nonlocal nodes
+        nodes += 1
+        if nodes > MAX_WALK_NODES:
+            raise BudgetExceeded(
+                f"infragraph walk of a {k}-graph with n={h.n}, m={m} at e={total} "
+                f"edge rows passed {MAX_WALK_NODES} nodes; "
+                f"infragraphs found so far: {len(found)}",
+                {"k": k, "n": h.n, "m": m, "e": total, "nodes": nodes,
+                 "infragraphs": len(found)},
+            )
+        if budget == 0:
+            if all(deg[v] % k == 0 for v in open_from[i]):
+                support = [j for j in range(i) if mu[j]]
+                edges = [h.edges[j] for j in support]
+                if connects({v for e in edges for v in e}, edges):
+                    found.append((tuple(support), tuple(mu[j] for j in support)))
             return
+        if i == m:
+            return
+        close = close_at[i]
+        if close:
+            start = -deg[close[0]] % k
+            for v in close[1:]:
+                if (deg[v] + start) % k:
+                    return
+            step = k
+        else:
+            start, step = 0, 1
         e = h.edges[i]
-        c = 0
-        while True:
+        c = start
+        for v in e:
+            deg[v] += c
+        while c <= budget:
             mu[i] = c
-            ok = all(deg[v] % k == 0 for v in close_at[i])
-            if ok:
-                yield from rec(i + 1, budget - c)
-            if c == budget:
-                break
-            c += 1
+            rec(i + 1, budget - c)
+            c += step
             for v in e:
-                deg[v] += 1
-        for _ in range(c):
-            for v in e:
-                deg[v] -= 1
+                deg[v] += step
+        for v in e:
+            deg[v] -= c
         mu[i] = 0
 
-    yield from rec(0, total)
+    rec(0, total)
+    return found
 
 
 Shape = tuple[tuple[tuple[int, ...], int], ...]

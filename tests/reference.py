@@ -7,10 +7,13 @@ sequences by backtracking.  It shares no code with the production
 routes (no grouping, no balance pruning, no tree-count formula), so it
 is slow and only usable on tiny instances.
 
-``enumerate_veblen`` lists the connected k-valent infragraphs as
-objects, and ``rooted_tree_weight`` roots one of them on the host's own
-labels; the production route reaches the same weights through
-infragraph shapes.
+``veblen_vectors_reference`` lists the connected k-valent infragraphs
+with e edge rows literally: every way to split e rows among the m edges,
+kept when each vertex degree is a multiple of k and the rows used are
+connected.  ``enumerate_veblen`` wraps its results as objects, and
+``rooted_tree_weight`` roots one of them on the host's own labels; the
+production route reaches the same infragraphs through a pruned walk and
+the same weights through infragraph shapes.
 
 ``Assignment`` and ``from_assignment`` spell out one index assignment
 of the brute-force moment sum and the arc digraph it induces;
@@ -25,13 +28,13 @@ import math
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations_with_replacement, permutations, product
+from itertools import combinations, combinations_with_replacement, permutations, product
 
 from alphatrace.digraph import MultiDigraph, count_in_arborescences, multidigraph
 from alphatrace.errors import BudgetExceeded, HypergraphError
 from alphatrace.hypergraph import Hypergraph, hypergraph
 from alphatrace.polynomial import AlphaPoly
-from alphatrace.trace import _require_simple, _veblen_vectors
+from alphatrace.trace import _require_simple
 
 MAX_VEBLEN_EDGES = 40
 
@@ -151,6 +154,39 @@ class VeblenInfragraph:
         return dict(deg)
 
 
+def veblen_vectors_reference(
+    h: Hypergraph, e: int
+) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """Sorted (edge_indices, multiplicities) of every connected k-valent
+    infragraph with exactly e edge rows, from all compositions of e into
+    h.m nonnegative parts (stars and bars)."""
+    m = h.m
+    found = []
+    if m == 0:
+        return found
+    for bars in combinations(range(e + m - 1), m - 1):
+        cuts = (-1, *bars, e + m - 1)
+        mu = [b - a - 1 for a, b in zip(cuts, cuts[1:])]
+        support = [i for i in range(m) if mu[i]]
+        deg: dict[int, int] = defaultdict(int)
+        for i in support:
+            for v in h.edges[i]:
+                deg[v] += mu[i]
+        if any(x % h.k for x in deg.values()):
+            continue
+        reached = {h.edges[support[0]][0]}
+        grew = True
+        while grew:
+            grew = False
+            for i in support:
+                if reached.intersection(h.edges[i]) and not reached.issuperset(h.edges[i]):
+                    reached.update(h.edges[i])
+                    grew = True
+        if reached == set(deg):
+            found.append((tuple(support), tuple(mu[i] for i in support)))
+    return sorted(found)
+
+
 def enumerate_veblen(
     h: Hypergraph, max_edges: int, limit: int = MAX_VEBLEN_EDGES
 ) -> list[VeblenInfragraph]:
@@ -162,7 +198,9 @@ def enumerate_veblen(
             f"infragraph enumeration capped at {limit} edges, asked {max_edges}",
             {"max_edges": max_edges, "cap": limit},
         )
-    found = sorted(v for e in range(1, max_edges + 1) for v in _veblen_vectors(h, e))
+    found = sorted(
+        v for e in range(1, max_edges + 1) for v in veblen_vectors_reference(h, e)
+    )
     return [VeblenInfragraph(h, s, mu) for s, mu in found]
 
 

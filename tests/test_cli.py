@@ -1,4 +1,5 @@
 import hashlib
+import importlib
 import json
 
 import pytest
@@ -87,8 +88,12 @@ def test_compare_bad_operand(capsys):
         (None, ("compare", "hyperpath:k=3,m=x", "hyperstar:k=3,m=3", "--alpha", "1/2"), "'x'"),
         (None, ("trace", "--family", "starlike", "--k", "3", "--arms", "2-x", "--d", "2"), "'2-x'"),
         (None, ("trace", "--input", "{broken}", "--d", "2"), "broken.json"),
+        # a rank the enumeration does not support is a usage error, not a budget
+        (None, ("verify", "--theorem", "6.4", "--k", "5", "--m", "3", "--alpha", "1/2"), "got 5"),
+        (None, ("sort", "--class", "hypertree", "--k", "5", "--m", "2", "--alpha", "1/2",
+                "--max-edges", "10"), "got 5"),
     ],
-    ids=["budget-env", "family-string", "arms", "json-file"],
+    ids=["budget-env", "family-string", "arms", "json-file", "k5-verify", "k5-sort"],
 )
 def test_bad_outside_input_exits_2(budget_env, argv, bad, tmp_path, monkeypatch, capsys):
     broken = tmp_path / "broken.json"
@@ -149,6 +154,18 @@ def test_enumerate_budget_exit(capsys):
     code, _, err = run(capsys, "enumerate", "--class", "hypertree", "--k", "3", "--m", "9")
     assert code == 3
     assert "budget" in err.lower()
+
+
+def test_trace_walk_budget_exit(monkeypatch, capsys):
+    trace_module = importlib.import_module("alphatrace.trace")
+    monkeypatch.setattr(trace_module, "MAX_WALK_NODES", 50)
+    trace_module._infragraph_table.cache_clear()
+    trace_module._structural_components_cached.cache_clear()
+    code, out, err = run(capsys, "trace", "--family", "hypercycle", "--k", "2", "--m", "5", "--d", "8")
+    assert code == 3
+    assert out == ""
+    assert "passed 50 nodes" in err
+    assert "infragraphs found so far" in err
 
 
 def test_byte_stable_output(capsys):

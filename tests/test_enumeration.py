@@ -94,7 +94,8 @@ def test_filter_validation():
 def test_budget():
     with pytest.raises(BudgetExceeded):
         enumerate_hypertrees(3, 9)
-    with pytest.raises(BudgetExceeded):
+    # an unsupported rank is a usage error, not a budget
+    with pytest.raises(ParameterError):
         enumerate_hypertrees(5, 3)
 
 

@@ -1,3 +1,4 @@
+import importlib
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -30,18 +31,35 @@ from alphatrace.trace import (
     _infragraph_table,
     _rooted_tree_weight,
     _structural_components_cached,
+    _veblen_vectors,
     brute_components,
     components_to_poly,
     k2_complete_term_constant,
     structural_components,
 )
 from conftest import corpus
-from reference import enumerate_veblen, lemma_sum_reference, rooted_tree_weight
+from reference import (
+    enumerate_veblen,
+    lemma_sum_reference,
+    rooted_tree_weight,
+    veblen_vectors_reference,
+)
+
+# the module, for monkeypatching; the package's ``trace`` is the function
+trace_module = importlib.import_module("alphatrace.trace")
 
 TRIANGLE = hypergraph(2, 3, [(0, 1), (0, 2), (1, 2)])
 # K6 minus the path 0-1-2-3-4, one of the dense benchmark inputs
 K6_MINUS_P5 = hypergraph(
     2, 6, [e for e in combinations(range(6), 2) if e not in {(0, 1), (1, 2), (2, 3), (3, 4)}]
+)
+
+# the complete 3-graph on 6 vertices minus 8 triples, another dense input
+DENSE_3GRAPH = hypergraph(
+    3, 6,
+    [e for e in combinations(range(6), 3) if e not in {
+        (0, 1, 5), (0, 4, 5), (1, 2, 3), (1, 3, 5), (1, 4, 5), (2, 3, 4), (2, 3, 5), (3, 4, 5)
+    }],
 )
 
 
@@ -206,6 +224,34 @@ def test_enumerate_veblen_examples():
         assert all(d % v.host.k == 0 for d in v.degrees().values())
     with pytest.raises(BudgetExceeded):
         enumerate_veblen(e, 100)
+
+
+def test_veblen_walk_matches_reference():
+    # the residue-stepped walk against every composition of e rows
+    rng = random.Random(6)
+    cases = []
+    for k in (2, 3, 4):
+        for _ in range(8):
+            n = rng.randint(k + 1, 7)
+            pool = list(combinations(range(n), k))
+            h = hypergraph(k, n, rng.sample(pool, rng.randint(1, min(8, len(pool)))))
+            cases.append((h, 6))
+    cases += [(K6_MINUS_P5, 5), (DENSE_3GRAPH, 5)]
+    for h, max_e in cases:
+        for e in range(1, max_e + 1):
+            assert sorted(_veblen_vectors(h, e)) == veblen_vectors_reference(h, e), (h, e)
+
+
+def test_walk_budget(monkeypatch):
+    monkeypatch.setattr(trace_module, "MAX_WALK_NODES", 100)
+    _infragraph_table.cache_clear()
+    _structural_components_cached.cache_clear()
+    with pytest.raises(BudgetExceeded) as info:
+        trace(K6_MINUS_P5, 8)
+    # the context says how far the walk got: a partial table at some e
+    ctx = info.value.context
+    assert (ctx["k"], ctx["n"], ctx["m"], ctx["nodes"]) == (2, 6, 11, 101)
+    assert 0 < ctx["infragraphs"] < len(veblen_vectors_reference(K6_MINUS_P5, ctx["e"]))
 
 
 def test_component_tables_agree():
