@@ -109,7 +109,14 @@ def _emit(args, payload: dict, text_lines: list[str], csv_rows: list[list] | Non
         sys.stdout.write(out)
 
 
+def _nonnegative(value: int, flag: str) -> int:
+    if value < 0:
+        raise UsageError(f"{flag} must be >= 0, got {value}")
+    return value
+
+
 def cmd_trace(args) -> int:
+    _nonnegative(args.d, "--d")
     h = _family_from_flags(args)
     key = args.input or args.family
     results = []
@@ -135,7 +142,7 @@ def cmd_trace(args) -> int:
 
 def _d_max(args, k: int) -> int:
     """``--d-max``, defaulting to 2k+2 for the operands' rank k."""
-    return args.d_max if args.d_max is not None else 2 * (k or 2) + 2
+    return _nonnegative(args.d_max, "--d-max") if args.d_max is not None else 2 * (k or 2) + 2
 
 
 def cmd_compare(args) -> int:

@@ -3,16 +3,23 @@ unicyclic hypergraphs at desk scale.
 
 Generation is edge-incremental: grow by one pendant edge at a time and
 deduplicate each level through canonical forms, so exactly one
-representative per isomorphism class survives.  Unicyclic generation
-seeds each girth with the bare hypercycle and attaches trees (attaching
-a pendant edge can neither create a second cycle nor change the girth).
-Output order is deterministic (sorted by canonical key).
+representative per isomorphism class survives.  Hypertrees grow m edges
+from the single vertex; linear unicyclic hypergraphs of girth g grow
+m-g edges from the bare hypercycle (attaching a pendant edge can neither
+create a second cycle nor change the girth).
+
+Each growth, one per (class, k, m, girth), runs once per process and is
+kept in key order.  ``enumerate_family`` is the one entry point: it
+merges the growths a filter needs (one girth, or girths 3..m) and
+applies the diameter and maximum-degree filters to that list, so every
+family it returns is sorted by canonical key.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cache
 from pathlib import Path
 
 from .canon import canonical_form
@@ -45,6 +52,8 @@ class FamilyFilter:
     def __post_init__(self):
         if self.cls not in (HYPERTREE, LINEAR_UNICYCLIC):
             raise ParameterError(f"unknown family class {self.cls!r}")
+        if self.m < 0:
+            raise ParameterError(f"m must be >= 0, got {self.m}")
         if self.girth is not None:
             if self.cls != LINEAR_UNICYCLIC:
                 raise ParameterError("girth filter applies to linear unicyclic only")
@@ -57,8 +66,13 @@ class FamilyFilter:
                 raise ParameterError(f"diameter must lie in [2, m], got {self.diam}")
 
 
-def _grow_with_pendants(seeds: list[Hypergraph], steps: int) -> list[Hypergraph]:
-    layer = {canonical_form(h): h for h in seeds}
+@cache
+def _growth(cls: str, k: int, m: int, girth: int | None) -> tuple[tuple[bytes, Hypergraph], ...]:
+    """The sorted ``(canonical key, member)`` pairs of one growth: the
+    hypertrees with m edges, or the linear unicyclic hypergraphs with m
+    edges and the given girth."""
+    seed, steps = (hyperpath(k, 0), m) if cls == HYPERTREE else (hypercycle(k, girth), m - girth)
+    layer = {canonical_form(seed): seed}
     for _ in range(steps):
         nxt: dict[bytes, Hypergraph] = {}
         for h in layer.values():
@@ -66,48 +80,39 @@ def _grow_with_pendants(seeds: list[Hypergraph], steps: int) -> list[Hypergraph]
                 g = add_pendant_edge(h, v)
                 nxt.setdefault(canonical_form(g), g)
         layer = nxt
-    return [h for _, h in sorted(layer.items())]
+    for h in layer.values():
+        got = classify(h)
+        assert got.kind == cls, f"enumerated a non-{cls}: {h}"
+    return tuple(sorted(layer.items()))
 
 
 def enumerate_hypertrees(
     k: int, m: int, max_edges: int = DEFAULT_MAX_EDGES
 ) -> list[Hypergraph]:
-    _check_budget(k, m, max_edges)
-    if m == 0:
-        from .hypergraph import hypergraph
-
-        return [hypergraph(k, 1, [])]
-    return _grow_with_pendants([hyperpath(k, 1)], m - 1)
+    return enumerate_family(FamilyFilter(HYPERTREE, k, m), max_edges)
 
 
 def enumerate_linear_unicyclic(
     k: int, m: int, girth: int | None = None, max_edges: int = DEFAULT_MAX_EDGES
 ) -> list[Hypergraph]:
-    _check_budget(k, m, max_edges)
-    if m < 3:
-        return []
-    girths = [girth] if girth is not None else list(range(3, m + 1))
-    out: dict[bytes, Hypergraph] = {}
-    for g in girths:
-        for h in _grow_with_pendants([hypercycle(k, g)], m - g):
-            out[canonical_form(h)] = h
-    return [h for _, h in sorted(out.items())]
+    return enumerate_family(FamilyFilter(LINEAR_UNICYCLIC, k, m, girth=girth), max_edges)
 
 
 def enumerate_family(
     filt: FamilyFilter, max_edges: int = DEFAULT_MAX_EDGES
 ) -> list[Hypergraph]:
+    """A fresh list of the family's members, sorted by canonical key."""
+    _check_budget(filt.k, filt.m, max_edges)
     if filt.cls == HYPERTREE:
-        members = enumerate_hypertrees(filt.k, filt.m, max_edges)
-        if filt.diam is not None:
-            members = [h for h in members if diameter(h) == filt.diam]
+        girths = (None,)
     else:
-        members = enumerate_linear_unicyclic(filt.k, filt.m, filt.girth, max_edges)
+        girths = (filt.girth,) if filt.girth is not None else range(3, filt.m + 1)
+    pairs = [pair for g in girths for pair in _growth(filt.cls, filt.k, filt.m, g)]
+    members = [h for _, h in sorted(pairs)]
+    if filt.diam is not None:
+        members = [h for h in members if diameter(h) == filt.diam]
     if filt.max_degree_two:
         members = [h for h in members if max(h.degrees(), default=0) <= 2]
-    for h in members:
-        got = classify(h)
-        assert got.kind == filt.cls, f"enumerated a non-{filt.cls}: {h}"
     return members
 
 

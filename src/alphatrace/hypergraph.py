@@ -73,9 +73,6 @@ class Hypergraph:
                 deg[v] += mu
         return tuple(deg)
 
-    def incident_edges(self, v: int) -> tuple[int, ...]:
-        return tuple(i for i, e in enumerate(self.edges) if v in e)
-
     def relabel(self, perm: Sequence[int]) -> "Hypergraph":
         """Apply the vertex permutation v -> perm[v]."""
         return hypergraph(

@@ -16,14 +16,18 @@ and 5.5; 7.3 is order 2 over 6.4 and 6.6, then order k+2 over 6.2 and
 6.3.  A row takes its family, builder, variants and k/m guard from the
 position claim it names, and its side and rank from that position.
 
-Canonical keys and moment polynomials are memoized per process by
-hypergraph value (and, for moments, the order) in bounded LRU caches
-inside ``canon`` and the trace engine, so the orderings here are exact,
-cheap to repeat at several weights, and thread-safe.
+Each family is read from ``enumerate_family``, which grows it once per
+process and returns it sorted by canonical key; a designated member is
+found in that list by its key.  Canonical keys and moment polynomials
+are memoized per process by hypergraph value (and, for moments, the
+order) in bounded LRU caches inside ``canon`` and the trace engine, so
+the orderings here are exact, cheap to repeat at several weights, and
+thread-safe.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Sequence
@@ -102,8 +106,8 @@ def _validate_alpha(alpha: Fraction):
     return alpha
 
 
-def _moment(h: Hypergraph, d: int, method: str, cross_check: bool) -> AlphaPoly:
-    poly = trace(h, d, method)
+def _moment(h: Hypergraph, d: int, cross_check: bool) -> AlphaPoly:
+    poly = trace(h, d)
     if cross_check:
         ref = trace_bruteforce(h, d)
         if ref != poly:
@@ -124,15 +128,14 @@ def compare_at_alpha(
     h2: Hypergraph,
     alpha: Fraction,
     d_max: int,
-    method: str = "auto",
     cross_check: bool = False,
 ) -> OrderVerdict:
     """Walk the moments at one exact weight until the first strict difference."""
     _validate_pair(h1, h2)
     alpha = _validate_alpha(alpha)
     for d in range(d_max + 1):
-        v1 = _moment(h1, d, method, cross_check).evaluate(alpha)
-        v2 = _moment(h2, d, method, cross_check).evaluate(alpha)
+        v1 = _moment(h1, d, cross_check).evaluate(alpha)
+        v2 = _moment(h2, d, cross_check).evaluate(alpha)
         if v1 < v2:
             return OrderVerdict(LESS, d, d_max)
         if v1 > v2:
@@ -140,13 +143,11 @@ def compare_at_alpha(
     return OrderVerdict(EQUAL_UP_TO, None, d_max)
 
 
-def compare_symbolic(
-    h1: Hypergraph, h2: Hypergraph, d_max: int, method: str = "auto"
-) -> SymbolicVerdict:
+def compare_symbolic(h1: Hypergraph, h2: Hypergraph, d_max: int) -> SymbolicVerdict:
     """Decide the sign of the first differing moment on all of (0, 1)."""
     _validate_pair(h1, h2)
     for d in range(d_max + 1):
-        diff = trace(h1, d, method) - trace(h2, d, method)
+        diff = trace(h1, d) - trace(h2, d)
         if diff.is_zero():
             continue
         sign, witnesses = sign_on_open_unit(diff)
@@ -172,25 +173,8 @@ class RankedFamily:
     def all_resolved(self) -> bool:
         return all(len(g) == 1 for g in self.groups)
 
-    def position_of(self, index: int) -> int:
-        for pos, g in enumerate(self.groups):
-            if index in g:
-                return pos
-        raise ValueError(f"index {index} not in family")
-
     def verdict(self, i: int, j: int) -> OrderVerdict:
-        pi, pj = self.position_of(i), self.position_of(j)
-        if pi == pj:
-            return OrderVerdict(EQUAL_UP_TO, None, self.d_used)
-        relation = LESS if pi < pj else GREATER
-        first = None
-        for d in range(self.d_used + 1):
-            a = trace(self.family[i], d).evaluate(self.alpha)
-            b = trace(self.family[j], d).evaluate(self.alpha)
-            if a != b:
-                first = d
-                break
-        return OrderVerdict(relation, first, self.d_used)
+        return compare_at_alpha(self.family[i], self.family[j], self.alpha, self.d_used)
 
     def verdict_matrix(self) -> dict[tuple[int, int], str]:
         n = len(self.family)
@@ -206,14 +190,15 @@ def sort_family(
     family: Sequence[Hypergraph], alpha: Fraction, d_max: int
 ) -> RankedFamily:
     """Total preorder of a same-(k, n) family at an exact weight; ties are
-    reported as groups, never silently broken."""
+    reported as groups, never silently broken.  Members of one group
+    keep their input order."""
     members = tuple(family)
     if not members:
         return RankedFamily((), Fraction(alpha), 0, ())
     for h in members[1:]:
         _validate_pair(members[0], h)
     alpha = _validate_alpha(alpha)
-    groups: list[list[int]] = [sorted(range(len(members)), key=lambda i: canonical_form(members[i]))]
+    groups: list[list[int]] = [list(range(len(members)))]
     d_used = 0
     for d in range(d_max + 1):
         d_used = d
@@ -445,11 +430,10 @@ def _side(position: str) -> tuple[bool, int]:
     return position in (FIRST, SECOND), int(position in (SECOND, SECOND_LAST))
 
 
-def _instances(claim: Claim, k: int, m: int, families: dict, max_edges: int):
+def _instances(claim: Claim, k: int, m: int, max_edges: int):
     """Yield ``(variant, family, designated, member)`` for each variant of
     a position claim; ``member`` is the designated hypergraph's index in
-    ``family`` or None.  ``families`` holds one enumeration per
-    FamilyFilter for the caller's lifetime."""
+    ``family`` or None."""
     variants = {"girth": range(3, m + 1), "diameter": range(2, m + 1)}.get(claim.variants, (None,))
     for v in variants:
         filt = FamilyFilter(
@@ -459,14 +443,13 @@ def _instances(claim: Claim, k: int, m: int, families: dict, max_edges: int):
             girth=v if claim.variants == "girth" else None,
             diam=v if claim.variants == "diameter" else None,
         )
-        if filt not in families:
-            family = enumerate_family(filt, max_edges)
-            families[filt] = family, [canonical_form(h) for h in family]
-        family, keys = families[filt]
+        family = enumerate_family(filt, max_edges)
         designated = claim.build(k, m) if v is None else claim.build(k, m, v)
         key = canonical_form(designated)
-        # canonical keys are unique within an enumerated family
-        yield v, family, designated, keys.index(key) if key in keys else None
+        # the family is sorted by canonical key, one member per key
+        i = bisect_left(family, key, key=canonical_form)
+        member = i if i < len(family) and canonical_form(family[i]) == key else None
+        yield v, family, designated, member
 
 
 def _positions(groups: Sequence[Sequence[int]], member: int, position: str):
@@ -542,7 +525,6 @@ def verify_theorem(
         return VerificationReport(claim_id, claim.description, k, m, alpha, d_base, (hypothesis,))
 
     checks: list[CheckResult] = []
-    families: dict[FamilyFilter, tuple] = {}
     if claim.moments:
         rows = [(c, CLAIMS[cid]) for c, cid in claim.moments if _applies(CLAIMS[cid], k, m)]
         d_used = max(c * k + 2 for c, _ in rows)
@@ -550,7 +532,7 @@ def verify_theorem(
             ascending, rank = _side(pos.position)
             side = ("second " if rank else "") + ("smallest" if ascending else "largest")
             head = f"{side} order-{'(k+2)' if c else '2'} moment"
-            for v, family, _, member in _instances(pos, k, m, families, max_edges):
+            for v, family, _, member in _instances(pos, k, m, max_edges):
                 label = head if v is None else f"{head} at {pos.variants} {v}"
                 values = [trace(h, c * k + 2).evaluate(alpha) for h in family]
                 checks.append(_value_check(label, values, member, pos.position))
@@ -558,7 +540,7 @@ def verify_theorem(
 
     d_used = d_base
     ascending, rank = _side(claim.position)
-    for v, family, designated, member in _instances(claim, k, m, families, max_edges):
+    for v, family, designated, member in _instances(claim, k, m, max_edges):
         label = claim.position if v is None else f"{claim.position} (variant {v})"
         if member is None:
             checks.append(

@@ -92,8 +92,19 @@ def test_compare_bad_operand(capsys):
         (None, ("verify", "--theorem", "6.4", "--k", "5", "--m", "3", "--alpha", "1/2"), "got 5"),
         (None, ("sort", "--class", "hypertree", "--k", "5", "--m", "2", "--alpha", "1/2",
                 "--max-edges", "10"), "got 5"),
+        # a negative order bound or edge count is a usage error, not an empty answer
+        (None, ("compare", "hyperpath:k=3,m=3", "hyperstar:k=3,m=3", "--alpha", "1/2",
+                "--d-max", "-1"), "--d-max must be >= 0"),
+        (None, ("sort", "--class", "hypertree", "--k", "3", "--m", "3", "--alpha", "1/2",
+                "--d-max", "-1"), "--d-max must be >= 0"),
+        (None, ("verify", "--theorem", "6.4", "--k", "3", "--m", "4", "--alpha", "1/2",
+                "--d-max", "-1"), "--d-max must be >= 0"),
+        (None, ("trace", "--family", "hyperpath", "--k", "3", "--m", "2", "--d", "-2"),
+         "--d must be >= 0"),
+        (None, ("enumerate", "--class", "hypertree", "--k", "3", "--m", "-1"), "m must be >= 0"),
     ],
-    ids=["budget-env", "family-string", "arms", "json-file", "k5-verify", "k5-sort"],
+    ids=["budget-env", "family-string", "arms", "json-file", "k5-verify", "k5-sort",
+         "compare-d-max", "sort-d-max", "verify-d-max", "trace-d", "enumerate-m"],
 )
 def test_bad_outside_input_exits_2(budget_env, argv, bad, tmp_path, monkeypatch, capsys):
     broken = tmp_path / "broken.json"

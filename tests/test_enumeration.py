@@ -89,6 +89,13 @@ def test_filter_validation():
         FamilyFilter(LINEAR_UNICYCLIC, 3, 4, diam=2)
     with pytest.raises(ParameterError):
         FamilyFilter(LINEAR_UNICYCLIC, 3, 4, girth=5)
+    with pytest.raises(ParameterError):
+        FamilyFilter(HYPERTREE, 3, -1)
+    # the wrappers go through the same filter
+    with pytest.raises(ParameterError):
+        enumerate_hypertrees(3, -1)
+    with pytest.raises(ParameterError):
+        enumerate_linear_unicyclic(3, 5, girth=6)
 
 
 def test_budget():

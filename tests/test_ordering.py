@@ -12,10 +12,11 @@ from alphatrace import (
     hyperpath,
     hyperstar,
     sort_family,
+    trace,
     verify_theorem,
 )
 from alphatrace.canon import are_isomorphic
-from alphatrace.enumeration import enumerate_hypertrees, enumerate_linear_unicyclic
+from alphatrace.enumeration import _growth, enumerate_hypertrees, enumerate_linear_unicyclic
 from alphatrace.ordering import (
     EQUAL_UP_TO,
     GREATER,
@@ -149,6 +150,23 @@ def test_sort_family_unicyclic_m4():
     assert are_isomorphic(order[2], cycle_with_pendant_star(3, 3, 4))
     matrix = ranked.verdict_matrix()
     assert matrix[(ranked.groups[0][0], ranked.groups[-1][0])] == LESS
+    # every ordered pair: the relation follows the group positions, and the
+    # deciding order is the first at which the evaluated moments differ
+    position = {i: p for p, g in enumerate(ranked.groups) for i in g}
+    for i in range(len(family)):
+        for j in range(len(family)):
+            if i == j:
+                continue
+            v = ranked.verdict(i, j)
+            assert v.relation == matrix[(i, j)]
+            assert v.relation == (LESS if position[i] < position[j] else GREATER)
+            first = next(
+                d
+                for d in range(ranked.d_used + 1)
+                if trace(family[i], d).evaluate(HALF) != trace(family[j], d).evaluate(HALF)
+            )
+            assert v.first_diff_order == first
+            assert v.d_max == ranked.d_used
 
 
 def test_sort_singleton():
@@ -175,6 +193,17 @@ def test_verify_degenerate_second_last_at_m4():
     assert {c.status for c in report.checks} == {"degenerate"}
     report5 = verify_theorem("5.3", 3, 5, HALF)
     assert report5.holds
+
+
+def test_verify_grows_each_family_once():
+    # 5.1 and 5.5 read the family per girth, 7.1 reads it whole and per
+    # girth: three growths at m=5, one per girth, each run once
+    _growth.cache_clear()
+    for cid in ("5.1", "5.5", "7.1"):
+        assert verify_theorem(cid, 3, 5, HALF).holds
+    info = _growth.cache_info()
+    assert (info.misses, info.currsize) == (3, 3)
+    assert info.hits > 0
 
 
 def test_verify_unknown_claim():
