@@ -100,18 +100,16 @@ def canonical_form(h: Hypergraph) -> bytes:
             adj[c].extend([C + j] * cnt)
             adj[C + j].extend([c] * cnt)
     size_rank = {s: r for r, s in enumerate(sorted(set(sizes)))}
-    mult_rank = {mu: r for r, mu in enumerate(sorted(set(h.mult)), start=len(size_rank))}
-    colors = [size_rank[s] for s in sizes] + [mult_rank[mu] for mu in h.mult]
+    colors = [size_rank[s] for s in sizes] + [len(size_rank)] * E
 
     def encode(final: list[int]) -> bytes:
         class_order = sorted(range(C), key=lambda c: final[c])
         class_pos = {c: i for i, c in enumerate(class_order)}
+        # the trailing 1 keeps keys byte-stable: keys order enumerated
+        # members, so new key bytes would change enumerate and verify output
         rows = sorted(
-            (
-                tuple(sorted((class_pos[c], cnt) for c, cnt in edge_profiles[j].items())),
-                h.mult[j],
-            )
-            for j in range(E)
+            (tuple(sorted((class_pos[c], cnt) for c, cnt in profile.items())), 1)
+            for profile in edge_profiles
         )
         size_row = tuple(sizes[c] for c in class_order)
         return repr((h.k, h.n, size_row, rows)).encode()

@@ -31,8 +31,7 @@ def coalesce(h1: Hypergraph, v1: int, h2: Hypergraph, v2: int) -> Hypergraph:
             mapping[v] = nxt
             nxt += 1
     edges = list(h1.edges) + [tuple(mapping[v] for v in e) for e in h2.edges]
-    mult = list(h1.mult) + list(h2.mult)
-    return hypergraph(h1.k, nxt, edges, mult)
+    return hypergraph(h1.k, nxt, edges)
 
 
 def add_pendant_edge(h: Hypergraph, v: int) -> Hypergraph:
@@ -40,7 +39,7 @@ def add_pendant_edge(h: Hypergraph, v: int) -> Hypergraph:
     if not 0 <= v < h.n:
         raise ParameterError(f"attachment vertex {v} out of range")
     new = tuple(range(h.n, h.n + h.k - 1))
-    return hypergraph(h.k, h.n + h.k - 1, list(h.edges) + [(v,) + new], list(h.mult) + [1])
+    return hypergraph(h.k, h.n + h.k - 1, list(h.edges) + [(v,) + new])
 
 
 def hyperpath(k: int, m: int) -> Hypergraph:

@@ -1,22 +1,23 @@
-"""k-uniform multi-hypergraphs with labeled vertices.
+"""Simple k-uniform hypergraphs with labeled vertices.
 
 The one input object everything else consumes.  Values are immutable;
-every operation returns a new hypergraph.  Edge multiplicities default
-to 1 and are only ever >1 for k-valent infragraphs, which reuse this
-type unchanged.
+every operation returns a new hypergraph.  Edges are distinct k-sets,
+as in the hypertrees and linear unicyclic hypergraphs the moments are
+ordered over.
 
 JSON interchange format::
 
-    {"k": int, "n": int, "edges": [[v, ...], ...], "mult": [int, ...]}
+    {"k": int, "n": int, "edges": [[v, ...], ...]}
 
-``mult`` is optional (default all 1).  Edges are sorted ascending on
-load; duplicate edges are merged by summing multiplicities.
+Edges are sorted ascending on load; a repeated edge is an error.  An
+optional ``mult`` list is accepted only when every entry is 1.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Iterable, Sequence
 
 from .errors import HypergraphError
@@ -27,67 +28,49 @@ class Hypergraph:
     k: int
     n: int
     edges: tuple[tuple[int, ...], ...]
-    mult: tuple[int, ...]
 
     def __post_init__(self):
         if self.k < 2:
             raise HypergraphError(f"edge cardinality k={self.k} must be >= 2")
         if self.n < 0:
             raise HypergraphError("negative vertex count")
-        if len(self.edges) != len(self.mult):
-            raise HypergraphError("edges and multiplicities differ in length")
         prev = None
-        for e, mu in zip(self.edges, self.mult):
+        for e in self.edges:
             if len(e) != self.k or len(set(e)) != self.k:
                 raise HypergraphError(f"edge {e} must have {self.k} distinct vertices")
             if tuple(sorted(e)) != e:
                 raise HypergraphError(f"edge {e} is not sorted")
             if not all(0 <= v < self.n for v in e):
                 raise HypergraphError(f"edge {e} has a vertex outside [0, {self.n})")
-            if mu < 1:
-                raise HypergraphError(f"multiplicity {mu} must be positive")
             if prev is not None and e <= prev:
-                raise HypergraphError("edges must be strictly increasing")
+                raise HypergraphError(
+                    f"edges must be distinct and strictly increasing, got {e} after {prev}"
+                )
             prev = e
 
     # -- construction ---------------------------------------------------
     @property
     def m(self) -> int:
-        """Number of distinct edges."""
+        """Number of edges."""
         return len(self.edges)
 
-    @property
-    def total_mult(self) -> int:
-        return sum(self.mult)
-
-    def is_simple(self) -> bool:
-        return all(mu == 1 for mu in self.mult)
-
     def degree(self, v: int) -> int:
-        return sum(mu for e, mu in zip(self.edges, self.mult) if v in e)
+        return sum(1 for e in self.edges if v in e)
 
     def degrees(self) -> tuple[int, ...]:
         deg = [0] * self.n
-        for e, mu in zip(self.edges, self.mult):
+        for e in self.edges:
             for v in e:
-                deg[v] += mu
+                deg[v] += 1
         return tuple(deg)
 
     def relabel(self, perm: Sequence[int]) -> "Hypergraph":
         """Apply the vertex permutation v -> perm[v]."""
-        return hypergraph(
-            self.k,
-            self.n,
-            [tuple(perm[v] for v in e) for e in self.edges],
-            self.mult,
-        )
+        return hypergraph(self.k, self.n, [tuple(perm[v] for v in e) for e in self.edges])
 
     # -- serialization ----------------------------------------------------
     def to_json_dict(self) -> dict:
-        out = {"k": self.k, "n": self.n, "edges": [list(e) for e in self.edges]}
-        if not self.is_simple():
-            out["mult"] = list(self.mult)
-        return out
+        return {"k": self.k, "n": self.n, "edges": [list(e) for e in self.edges]}
 
     def dumps(self) -> str:
         return json.dumps(self.to_json_dict(), sort_keys=True)
@@ -96,35 +79,16 @@ class Hypergraph:
         return f"Hypergraph(k={self.k}, n={self.n}, edges={list(self.edges)})"
 
 
-def hypergraph(
-    k: int,
-    n: int,
-    edges: Iterable[Iterable[int]],
-    mult: Iterable[int] | None = None,
-) -> Hypergraph:
-    """Normalizing constructor: sorts edges, merges duplicates."""
-    raw = [tuple(sorted(e)) for e in edges]
-    mults = list(mult) if mult is not None else [1] * len(raw)
-    if len(mults) != len(raw):
-        raise HypergraphError("mult list does not match edge list")
-    merged: dict[tuple[int, ...], int] = {}
-    for e, mu in zip(raw, mults):
-        merged[e] = merged.get(e, 0) + mu
-    items = sorted(merged.items())
-    return Hypergraph(
-        k=k,
-        n=n,
-        edges=tuple(e for e, _ in items),
-        mult=tuple(mu for _, mu in items),
-    )
+def hypergraph(k: int, n: int, edges: Iterable[Iterable[int]]) -> Hypergraph:
+    """Normalizing constructor: sorts each edge and the edge list."""
+    return Hypergraph(k=k, n=n, edges=tuple(sorted(tuple(sorted(e)) for e in edges)))
 
 
 def from_json_dict(data: dict) -> Hypergraph:
+    if "mult" in data and any(int(x) != 1 for x in data["mult"]):
+        raise HypergraphError("edge multiplicities other than 1 are not supported")
     return hypergraph(
-        int(data["k"]),
-        int(data["n"]),
-        [tuple(int(v) for v in e) for e in data["edges"]],
-        [int(x) for x in data["mult"]] if "mult" in data else None,
+        int(data["k"]), int(data["n"]), [tuple(int(v) for v in e) for e in data["edges"]]
     )
 
 
@@ -157,9 +121,7 @@ def is_connected(h: Hypergraph) -> bool:
 
 
 def is_linear(h: Hypergraph) -> bool:
-    """Any two edges (counting copies) share at most one vertex."""
-    if any(mu > 1 for mu in h.mult):
-        return False
+    """Any two edges share at most one vertex."""
     for i, e in enumerate(h.edges):
         se = set(e)
         for f in h.edges[i + 1:]:
@@ -182,13 +144,10 @@ def _incidence_adjacency(h: Hypergraph) -> list[list[int]]:
 def girth(h: Hypergraph) -> int | None:
     """Length (in edges) of a shortest Berge cycle; None when acyclic.
 
-    A pair of edge copies, or two edges meeting in >= 2 vertices, forms a
-    cycle of length 2.  Longer cycles are found as cycles of the bipartite
-    incidence graph (a Berge cycle of length g is an incidence cycle of
-    length 2g).
+    Two edges meeting in >= 2 vertices form a cycle of length 2.  Longer
+    cycles are found as cycles of the bipartite incidence graph (a Berge
+    cycle of length g is an incidence cycle of length 2g).
     """
-    if any(mu > 1 for mu in h.mult):
-        return 2
     for i, e in enumerate(h.edges):
         se = set(e)
         for f in h.edges[i + 1:]:
@@ -259,13 +218,13 @@ class Classification:
 def classify(h: Hypergraph) -> Classification:
     """Hypertree / linear unicyclic (with girth) / other.
 
-    A connected simple hypergraph on n = m(k-1)+1 vertices is acyclic; a
+    A connected hypergraph on n = m(k-1)+1 vertices is acyclic; a
     connected linear one on n = m(k-1) vertices carries exactly one Berge
     cycle (its incidence graph has cyclomatic number 1).
     """
     if not is_connected(h):
         return Classification(OTHER)
-    if h.is_simple() and h.n == h.m * (h.k - 1) + 1:
+    if h.n == h.m * (h.k - 1) + 1:
         return Classification(HYPERTREE)
     if is_linear(h) and h.n == h.m * (h.k - 1):
         return Classification(LINEAR_UNICYCLIC, girth(h))
@@ -289,16 +248,10 @@ def pendant_edges_at(h: Hypergraph, u: int) -> list[int]:
 
 def complete_subhypergraphs(h: Hypergraph) -> list[tuple[int, ...]]:
     """Vertex sets S of size k+1 whose k+1 k-subsets are all edges of h."""
-    if not h.is_simple():
-        raise HypergraphError("complete subhypergraph scan expects a simple hypergraph")
     edge_set = set(h.edges)
-    from itertools import combinations
-
     candidates = sorted({v for e in h.edges for v in e})
     found = []
     for s in combinations(candidates, h.k + 1):
         if all(tuple(sorted(set(s) - {v})) in edge_set for v in s):
             found.append(s)
     return found
-
-

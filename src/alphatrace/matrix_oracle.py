@@ -24,9 +24,8 @@ def matrix_power_trace(h: Hypergraph, d: int) -> AlphaPoly:
     mat = [[zero for _ in range(n)] for _ in range(n)]
     for v in range(n):
         mat[v][v] = alpha * deg[v]
-    for (u, v), mu in zip(h.edges, h.mult):
-        mat[u][v] = mat[u][v] + one_minus * mu
-        mat[v][u] = mat[v][u] + one_minus * mu
+    for u, v in h.edges:
+        mat[u][v] = mat[v][u] = one_minus
     if d == 0:
         return AlphaPoly.constant(n)
     power = mat

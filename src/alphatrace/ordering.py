@@ -106,6 +106,11 @@ def _validate_alpha(alpha: Fraction):
     return alpha
 
 
+def _validate_d_max(d_max: int):
+    if d_max < 0:
+        raise OrderingError(f"order bound d_max must be >= 0, got {d_max}")
+
+
 def _moment(h: Hypergraph, d: int, cross_check: bool) -> AlphaPoly:
     poly = trace(h, d)
     if cross_check:
@@ -132,6 +137,7 @@ def compare_at_alpha(
 ) -> OrderVerdict:
     """Walk the moments at one exact weight until the first strict difference."""
     _validate_pair(h1, h2)
+    _validate_d_max(d_max)
     alpha = _validate_alpha(alpha)
     for d in range(d_max + 1):
         v1 = _moment(h1, d, cross_check).evaluate(alpha)
@@ -146,6 +152,7 @@ def compare_at_alpha(
 def compare_symbolic(h1: Hypergraph, h2: Hypergraph, d_max: int) -> SymbolicVerdict:
     """Decide the sign of the first differing moment on all of (0, 1)."""
     _validate_pair(h1, h2)
+    _validate_d_max(d_max)
     for d in range(d_max + 1):
         diff = trace(h1, d) - trace(h2, d)
         if diff.is_zero():
@@ -192,6 +199,7 @@ def sort_family(
     """Total preorder of a same-(k, n) family at an exact weight; ties are
     reported as groups, never silently broken.  Members of one group
     keep their input order."""
+    _validate_d_max(d_max)
     members = tuple(family)
     if not members:
         return RankedFamily((), Fraction(alpha), 0, ())
@@ -516,6 +524,7 @@ def verify_theorem(
     claim = CLAIMS[claim_id]
     alpha = _validate_alpha(alpha)
     d_base = d_max if d_max is not None else 2 * k + 2
+    _validate_d_max(d_base)
     d_cap = max(d_base, k * m + 2)
 
     if not _applies(claim, k, m):

@@ -247,39 +247,43 @@ def count_roots_open_unit(p: AlphaPoly) -> int:
 
 
 def isolate_roots_open_unit(p: AlphaPoly) -> list[tuple[Fraction, Fraction]]:
-    """Disjoint rational intervals each containing exactly one root in (0,1).
+    """Disjoint rational intervals, one per distinct root of p in (0, 1).
 
-    Point roots hit exactly during bisection are returned as degenerate
-    [r, r] intervals.
+    A root hit exactly by bisection is returned as the degenerate
+    interval (r, r); every other interval (lo, hi) holds exactly one root
+    in its interior, and its endpoints may be such exact roots.
     """
     q, _, _ = strip_unit_interval_factors(p)
     if q.degree < 1:
         return []
+    # isolate on q / gcd(q, q'): a multiple root would zero every chain member
+    q = q.divmod(_sturm_chain(q)[-1])[0]
     chain = _sturm_chain(q)
 
     def count(lo: Fraction, hi: Fraction) -> int:
+        # distinct roots in (lo, hi]; exact at root endpoints since q is squarefree
         return _sign_variations(chain, lo) - _sign_variations(chain, hi)
 
     out: list[tuple[Fraction, Fraction]] = []
 
     def rec(lo: Fraction, hi: Fraction, n: int):
+        # n roots lie in the open interval (lo, hi)
         if n == 0:
             return
         if n == 1:
             out.append((lo, hi))
             return
         mid = (lo + hi) / 2
-        if q.evaluate(mid) == 0:
+        at_mid = q.evaluate(mid) == 0
+        if at_mid:
             out.append((mid, mid))
-            eps = (hi - lo) / 4
-            # shrink around the exact root so the flanks have clean endpoints
-            rec(lo, mid - eps, count(lo, mid - eps))
-            rec(mid + eps, hi, count(mid + eps, hi))
-        else:
-            rec(lo, mid, count(lo, mid))
-            rec(mid, hi, count(mid, hi))
+        left = count(lo, mid) - at_mid
+        rec(lo, mid, left)
+        rec(mid, hi, n - left - at_mid)
 
-    rec(Fraction(0), _ONE, count(Fraction(0), _ONE))
+    total = count(Fraction(0), _ONE)
+    rec(Fraction(0), _ONE, total)
+    assert len(out) == total, (p, out)
     out.sort()
     return out
 

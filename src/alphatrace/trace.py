@@ -53,10 +53,11 @@ scaling (2^d times alpha = 1/2) are evaluations of that polynomial.
 
 Closed forms: orders 1..k-1 are pure degree moments; order k adds a
 term linear in the edge count; order k+1 adds the degree square sum and
-a complete-subhypergraph term whose k-dependent constant is calibrated
-once for k = 2 (for linear hypergraphs with k >= 3 the term vanishes);
-order k+2 is assembled from per-edge degree correlations and rooted
-spanning-tree counts of complete-subhypergraph digraphs.
+one term per complete subhypergraph on k+1 vertices, weighted by that
+subhypergraph's rooted spanning-tree sum W' (the same W' the structural
+route caches; there are none in a linear hypergraph with k >= 3);
+order k+2 is assembled from per-edge degree correlations and the same
+W' times the degree sum of each complete subhypergraph.
 """
 
 from __future__ import annotations
@@ -66,11 +67,11 @@ from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import permutations
+from itertools import combinations
 
 from .digraph import count_in_arborescences
-from .errors import BudgetExceeded, HypergraphError, UnsupportedError
-from .hypergraph import Hypergraph, complete_subhypergraphs, connects, hypergraph
+from .errors import BudgetExceeded, UnsupportedError
+from .hypergraph import Hypergraph, complete_subhypergraphs, connects
 from .polynomial import AlphaPoly, basis_term
 
 DEFAULT_MAX_ASSIGNMENT_CLASSES = 2_000_000
@@ -123,7 +124,6 @@ def brute_components(
     h: Hypergraph, d: int, max_classes: int = DEFAULT_MAX_ASSIGNMENT_CLASSES
 ) -> Components:
     """Moment table by direct enumeration of assignment classes."""
-    _require_simple(h)
     if d == 0:
         return {(0, 0): Fraction(h.n * (h.k - 1) ** (h.n - 1))}
     stars = _star_classes(h)
@@ -454,7 +454,6 @@ def structural_components(h: Hypergraph, d: int) -> Components:
     (d - e, e) is therefore d / e! times the sum of C * h_{d-e}(degrees)
     over ``_infragraph_table(h, e)``.
     """
-    _require_simple(h)
     if d == 0:
         return {(0, 0): Fraction(h.n * (h.k - 1) ** (h.n - 1))}
     comp: Components = {
@@ -514,49 +513,15 @@ def signless_laplacian_moment(h: Hypergraph, d: int) -> Fraction:
 # Closed forms through order k+2
 # ---------------------------------------------------------------------------
 
-def _complete_root_tree_sum(h: Hypergraph, vertex_set: tuple[int, ...]) -> int:
-    """For a complete subhypergraph on k+1 vertices: sum, over all ways to
-    root its k+1 edges so each vertex roots exactly one row, of the number
-    of spanning in-trees of the induced arc digraph."""
-    verts = list(vertex_set)
-    total = 0
-    for pi in permutations(verts):
-        # edge omitting verts[i] is rooted at pi[i]; roots must avoid the
-        # omitted vertex and exhaust every vertex once
-        if any(pi[i] == verts[i] for i in range(len(verts))):
-            continue
-        arcs: dict[tuple[int, int], int] = defaultdict(int)
-        for i, omitted in enumerate(verts):
-            root = pi[i]
-            for x in verts:
-                if x != omitted and x != root:
-                    arcs[(root, x)] += 1
-        total += count_in_arborescences(arcs, verts, verts[0])
-    return total
-
-
-@lru_cache(maxsize=1)
-def k2_complete_term_constant() -> Fraction:
-    """The k = 2 constant of the order-(k+1) complete-subhypergraph term,
-    calibrated once against the brute-force moment of the 3-cycle."""
-    tri = hypergraph(2, 3, [(0, 1), (0, 2), (1, 2)])
-    brute = trace_bruteforce(tri, 3)
-    known = phi(tri, 3) + basis_term(1, 2) * (3 * sum(x**2 for x in tri.degrees()))
-    diff = brute - known
-    c = diff.evaluate(Fraction(0)) / 3
-    if diff != basis_term(0, 3) * (3 * c):
-        raise AssertionError("k=2 calibration residue has unexpected shape")
-    return c
+def _clique_tree_weight(k: int) -> int:
+    """W' of the complete k-graph on k+1 vertices (see ``_rooted_tree_weight``):
+    the sum, over the ways to root each edge at one of its vertices with every
+    vertex rooting one edge, of the in-arborescence count of the arc digraph."""
+    return _rooted_tree_weight(tuple((e, 1) for e in combinations(range(k + 1), k)))
 
 
 def trace_closed(h: Hypergraph, d: int) -> AlphaPoly:
-    """Closed-form moment for 1 <= d <= k+2.
-
-    For d = k+1 with complete subhypergraphs present and k >= 3 the
-    required constant is not pinned; that case is refused (brute force
-    remains available).
-    """
-    _require_simple(h)
+    """Closed-form moment for 1 <= d <= k+2."""
     k, n = h.k, h.n
     if not 1 <= d <= k + 2:
         raise UnsupportedError(f"closed forms cover orders 1..k+2, got {d}")
@@ -571,13 +536,8 @@ def trace_closed(h: Hypergraph, d: int) -> AlphaPoly:
         )
         cliques = complete_subhypergraphs(h)
         if cliques:
-            if k != 2:
-                raise UnsupportedError(
-                    "order k+1 with complete subhypergraphs is only pinned for k=2"
-                )
-            c2 = k2_complete_term_constant()
             result = result + basis_term(0, k + 1) * (
-                (k + 1) * (k - 1) ** (n - k) * c2 * len(cliques)
+                (k + 1) * (k - 1) ** (n - k - 1) * _clique_tree_weight(k) * len(cliques)
             )
         return result
     return trace_k_plus_2(h)
@@ -586,7 +546,6 @@ def trace_closed(h: Hypergraph, d: int) -> AlphaPoly:
 def trace_k_plus_2(h: Hypergraph) -> AlphaPoly:
     """Order k+2: degree part, adjacency part, per-edge degree correlations,
     and the complete-subhypergraph tree-count term."""
-    _require_simple(h)
     k, n = h.k, h.n
     d = k + 2
     deg = h.degrees()
@@ -604,15 +563,10 @@ def trace_k_plus_2(h: Hypergraph) -> AlphaPoly:
     result = result + basis_term(2, k) * (
         (k + 2) * (k - 1) ** (n - k) * k ** (k - 2) * corr
     )
-    for S in complete_subhypergraphs(h):
-        trees = _complete_root_tree_sum(h, S)
-        degsum = sum(deg[v] for v in S)
+    cliques = complete_subhypergraphs(h)
+    if cliques:
+        degsum = sum(deg[v] for S in cliques for v in S)
         result = result + basis_term(1, k + 1) * (
-            (k + 2) * (k - 1) ** (n - k - 1) * trees * degsum
+            (k + 2) * (k - 1) ** (n - k - 1) * _clique_tree_weight(k) * degsum
         )
     return result
-
-
-def _require_simple(h: Hypergraph):
-    if not h.is_simple():
-        raise HypergraphError("moments are defined for simple hypergraphs")

@@ -28,8 +28,6 @@ from .hypergraph import Hypergraph, hypergraph, pendant_edges_at
 
 def sigma_transform(h: Hypergraph, u: int, v: int) -> Hypergraph:
     """Re-attach every pendant edge at u to v."""
-    if not h.is_simple():
-        raise TransformError("sigma transform expects a simple hypergraph")
     if u == v:
         raise TransformError("u and v must differ")
     moved = pendant_edges_at(h, u)
@@ -53,8 +51,6 @@ def sigma_transform(h: Hypergraph, u: int, v: int) -> Hypergraph:
 
 def sigma_candidates(h: Hypergraph) -> list[tuple[int, int]]:
     """All (u, v) pairs on which sigma_transform is applicable."""
-    if not h.is_simple():
-        return []
     deg = h.degrees()
     out = []
     for u in range(h.n):

@@ -34,7 +34,6 @@ from alphatrace.digraph import MultiDigraph, count_in_arborescences, multidigrap
 from alphatrace.errors import BudgetExceeded, HypergraphError
 from alphatrace.hypergraph import Hypergraph, hypergraph
 from alphatrace.polynomial import AlphaPoly
-from alphatrace.trace import _require_simple
 
 MAX_VEBLEN_EDGES = 40
 
@@ -192,7 +191,6 @@ def enumerate_veblen(
 ) -> list[VeblenInfragraph]:
     """All connected k-valent infragraphs with total multiplicity <= max_edges,
     one per multiplicity vector, in deterministic order."""
-    _require_simple(h)
     if max_edges > limit:
         raise BudgetExceeded(
             f"infragraph enumeration capped at {limit} edges, asked {max_edges}",

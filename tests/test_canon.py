@@ -31,12 +31,6 @@ def test_starlike_vs_branch():
     assert not are_isomorphic(starlike(3, (2, 1, 1)), path_with_branch(3, 4))
 
 
-def test_multiplicity_colors():
-    single = hypergraph(2, 2, [(0, 1)])
-    doubled = hypergraph(2, 2, [(0, 1)], [2])
-    assert canonical_form(single) != canonical_form(doubled)
-
-
 def test_automorphism_heavy_graph_is_stable():
     h = hyperstar(4, 5)
     perm = list(range(h.n))

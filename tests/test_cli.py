@@ -198,6 +198,18 @@ def test_trace_from_file(tmp_path, capsys):
     assert data["hypergraph"]["n"] == 6
 
 
+def test_multi_hypergraph_file_exits_2(tmp_path, capsys):
+    path = tmp_path / "doubled.json"
+    path.write_text(json.dumps({"k": 3, "n": 5, "edges": [[0, 1, 2], [2, 3, 4]], "mult": [2, 1]}))
+    for argv in (
+        ("trace", "--input", str(path), "--d", "2"),
+        ("compare", str(path), "hyperpath:k=3,m=2", "--alpha", "1/2"),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert "multiplicit" in err
+
+
 # sha256 of `verify --format json` stdout and the exit code, per (k, m) and
 # claim, at alpha=1/2.  k=3, m=5 is the main set; (2, 4), (3, 3) and (3, 4)
 # are the sizes where hypothesis gates fire, rows of the moment claims are

@@ -30,11 +30,13 @@ def test_validation():
         hypergraph(1, 3, [])  # k too small
 
 
-def test_duplicate_edges_merge():
-    h = hypergraph(2, 2, [(0, 1), (1, 0)])
-    assert h.edges == ((0, 1),)
-    assert h.mult == (2,)
-    assert not h.is_simple()
+def test_repeated_edge_rejected():
+    with pytest.raises(HypergraphError):
+        hypergraph(2, 2, [(0, 1), (1, 0)])
+    with pytest.raises(HypergraphError):
+        from_json_dict({"k": 2, "n": 2, "edges": [[0, 1]], "mult": [2]})
+    h = from_json_dict({"k": 2, "n": 2, "edges": [[1, 0]], "mult": [1]})
+    assert h == hypergraph(2, 2, [(0, 1)])
 
 
 def test_degree_sequence_examples():
@@ -52,14 +54,13 @@ def test_handshake_random():
         for _ in range(rng.randint(1, 6)):
             edges.add(tuple(sorted(rng.sample(range(n), k))))
         h = hypergraph(k, n, edges)
-        assert sum(h.degrees()) == k * h.total_mult
+        assert sum(h.degrees()) == k * h.m
 
 
 def test_girth_examples():
     assert girth(hypercycle(3, 4)) == 4
     assert girth(hyperpath(3, 3)) is None
     assert girth(hypergraph(3, 4, [(0, 1, 2), (0, 1, 3)])) == 2  # shared pair
-    assert girth(hypergraph(2, 2, [(0, 1)], [2])) == 2  # doubled edge
     for m in range(3, 9):
         assert girth(hypercycle(2, m)) == m
 

@@ -206,6 +206,18 @@ def test_verify_grows_each_family_once():
     assert info.hits > 0
 
 
+def test_negative_order_bound_rejected():
+    path, star = hyperpath(3, 3), hyperstar(3, 3)
+    with pytest.raises(OrderingError):
+        compare_at_alpha(path, star, HALF, -1)
+    with pytest.raises(OrderingError):
+        compare_symbolic(path, star, -1)
+    with pytest.raises(OrderingError):
+        sort_family(enumerate_hypertrees(3, 4), HALF, -1)
+    with pytest.raises(OrderingError):
+        verify_theorem("6.4", 3, 4, HALF, d_max=-1)
+
+
 def test_verify_unknown_claim():
     with pytest.raises(OrderingError):
         verify_theorem("9.9", 3, 4, HALF)

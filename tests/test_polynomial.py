@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -72,6 +73,40 @@ def test_root_counting_and_signs():
     (l1, r1), (l2, r2) = roots
     assert l1 <= Fraction(1, 3) <= r1 and l2 <= Fraction(2, 3) <= r2
     assert r1 <= l2
+
+
+def _from_roots(*roots):
+    p = AlphaPoly((1,))
+    for r in roots:
+        p = p * AlphaPoly((-r, 1))
+    return p
+
+
+def test_isolation_keeps_roots_beside_a_midpoint_root():
+    third, half = Fraction(1, 3), Fraction(1, 2)
+    p = _from_roots(third, half, 2 * third)
+    assert count_roots_open_unit(p) == 3
+    roots = isolate_roots_open_unit(p)
+    assert roots == [(0, half), (half, half), (half, 1)]
+
+
+def test_isolation_of_multiple_and_dyadic_roots():
+    # products of rational linear factors with multiplicities 1..3, roots at
+    # 0, 1, outside [0, 1] and at dyadic midpoints; each interior root must
+    # be the one root of exactly one interval
+    pool = [Fraction(x) for x in ("0", "1", "1/2", "1/4", "3/4", "1/8", "5/8", "1/3",
+                                  "2/3", "2/5", "7/9", "3/2", "-1/2", "5/16")]
+    rng = random.Random(2)
+    for _ in range(150):
+        chosen = rng.sample(pool, rng.randint(1, 5))
+        p = _from_roots(*(r for r in chosen for _ in range(rng.randint(1, 3))))
+        p = p * rng.choice([1, -2, Fraction(3, 5)])
+        inner = sorted(r for r in chosen if 0 < r < 1)
+        intervals = isolate_roots_open_unit(p)
+        assert len(intervals) == len(inner) == count_roots_open_unit(p), chosen
+        for (lo, hi), r in zip(intervals, inner):
+            assert lo == hi == r or lo < r < hi, (chosen, intervals)
+            assert lo == hi or not any(lo < s < hi for s in inner if s != r)
 
 
 def test_sign_ignores_endpoint_roots():

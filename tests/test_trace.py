@@ -34,7 +34,6 @@ from alphatrace.trace import (
     _veblen_vectors,
     brute_components,
     components_to_poly,
-    k2_complete_term_constant,
     structural_components,
 )
 from conftest import corpus
@@ -182,17 +181,20 @@ def test_closed_forms_match_bruteforce():
                 assert trace_closed(h, d) == trace_bruteforce(h, d), (h, d)
 
 
-def test_k2_calibrated_constant():
-    assert k2_complete_term_constant() == 2
+def test_closed_form_complete_term():
+    # the order-(k+1) and order-(k+2) complete-subhypergraph terms on the
+    # complete k-graph on k+1 vertices, where every rooting matters
+    for k in (2, 3, 4):
+        clique = hypergraph(k, k + 1, combinations(range(k + 1), k))
+        for d in (k + 1, k + 2):
+            assert trace_closed(clique, d) == trace_bruteforce(clique, d), (k, d)
 
 
 def test_closed_form_refusals():
     with pytest.raises(UnsupportedError):
         trace_closed(hyperpath(3, 2), 6)  # beyond k+2
     k4 = hypergraph(3, 4, [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)])
-    with pytest.raises(UnsupportedError):
-        trace_closed(k4, 4)  # k+1 with a complete subhypergraph, k >= 3
-    # but k+2 stays available on the same input
+    assert trace_closed(k4, 4) == trace_bruteforce(k4, 4)
     assert trace_k_plus_2(k4) == trace_bruteforce(k4, 5)
 
 
