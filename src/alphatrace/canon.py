@@ -1,120 +1,93 @@
-"""Canonical forms for hypergraphs at desk scale.
+"""Canonical forms for hypertrees and unicyclic hypergraphs.
 
 Two hypergraphs map to the same byte string exactly when they are
-isomorphic.  Twin vertices (vertices lying in exactly the same edges,
-e.g. the interior vertices of one pendant edge) are first collapsed
-into a single class node weighted by the class size; the reduced
-vertex-class/edge incidence structure is then canonized by color
-refinement with individualization, branching on every member of the
-first non-singleton color class and keeping the smallest certificate.
-The collapse removes the factorial branching over interchangeable
-leaves, and is exact: twin classes are label-independent, so the
-reduced colored structure determines the hypergraph up to isomorphism.
+isomorphic.  The key is read off the bipartite incidence graph (vertex
+nodes ``0..n-1``, edge nodes ``n..n+m-1``), which is a tree for a
+hypertree and has exactly one cycle for a unicyclic hypergraph, so no
+search is needed (Aho, Hopcroft and Ullman 1974).  Leaves are peeled
+layer by layer; a peeled node's code is its side (``V`` or ``E``)
+followed by the sorted codes of the nodes peeled into it, in
+parentheses.  A tree stops at its center, or at two adjacent centers
+where the smaller of the two rootings wins.  A unicyclic graph stops at
+its cycle, whose code is the least rotation or reflection of the
+cycle's codes.  The cost is the total length of the codes written.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from functools import lru_cache
+from itertools import accumulate
 
-from .errors import BudgetExceeded
-from .hypergraph import Hypergraph
+from .errors import UnsupportedError
+from .hypergraph import Hypergraph, _incidence_adjacency, is_connected
 
-MAX_CANON_VERTICES = 24
 CANON_CACHE_SIZE = 16384
 
 
-def _refine(adj: list[list[int]], colors: list[int]) -> list[int]:
-    """Iterated neighborhood refinement to a stable coloring (parallel
-    incidences appear as repeated neighbors and are counted)."""
-    ncolors = len(set(colors))
-    while True:
-        sigs = [
-            (colors[x], tuple(sorted(colors[y] for y in adj[x])))
-            for x in range(len(adj))
-        ]
-        order = sorted(set(sigs))
-        rank = {s: i for i, s in enumerate(order)}
-        colors = [rank[s] for s in sigs]
-        if len(order) == ncolors:
-            return colors
-        ncolors = len(order)
-
-
-def _canonize(adj: list[list[int]], colors: list[int], encode) -> bytes:
-    colors = _refine(adj, colors)
-    counts: dict[int, int] = {}
-    for c in colors:
-        counts[c] = counts.get(c, 0) + 1
-    target = None
-    for c in sorted(counts):
-        if counts[c] > 1:
-            target = c
-            break
-    if target is None:
-        return encode(colors)
-    best: bytes | None = None
-    for x in range(len(adj)):
-        if colors[x] != target:
-            continue
-        branched = [(c, 0 if i == x else 1) for i, c in enumerate(colors)]
-        order = sorted(set(branched))
-        rank = {s: i for i, s in enumerate(order)}
-        cert = _canonize(adj, [rank[s] for s in branched], encode)
-        if best is None or cert < best:
-            best = cert
-    assert best is not None
-    return best
+def _least_rotation(codes: list[str]) -> str:
+    """The least concatenation of ``codes`` over its rotations."""
+    s = "".join(codes)
+    ss = s + s
+    return min(ss[i:i + len(s)] for i in accumulate(map(len, codes[:-1]), initial=0))
 
 
 @lru_cache(maxsize=CANON_CACHE_SIZE)
 def canonical_form(h: Hypergraph) -> bytes:
     """Isomorphism-class key; equal keys iff isomorphic hypergraphs.
 
+    Defined on connected hypergraphs with n >= 1 and cyclomatic number
+    at most 1 (k*m <= n+m): every hypertree and every unicyclic
+    hypergraph, linear or not.  Anything else raises ``UnsupportedError``.
     Memoized by hypergraph value (``Hypergraph`` is frozen and hashable)."""
-    if h.n > MAX_CANON_VERTICES:
-        raise BudgetExceeded(
-            f"canonical form capped at {MAX_CANON_VERTICES} vertices, got {h.n}",
-            {"n": h.n},
+    n = h.n
+    if n == 0 or h.k * h.m > n + h.m or not is_connected(h):
+        raise UnsupportedError(
+            "canonical forms need a connected hypertree or unicyclic hypergraph, "
+            f"got k={h.k}, n={n}, m={h.m}"
         )
-    incident: list[list[int]] = [[] for _ in range(h.n)]
-    for i, e in enumerate(h.edges):
-        for v in e:
-            incident[v].append(i)
-    twin_groups: dict[tuple[int, ...], list[int]] = {}
-    for v in range(h.n):
-        twin_groups.setdefault(tuple(incident[v]), []).append(v)
-    classes = sorted(twin_groups.values())
-    sizes = [len(c) for c in classes]
-    class_of = {}
-    for idx, members in enumerate(classes):
-        for v in members:
-            class_of[v] = idx
-    C, E = len(classes), h.m
-    adj: list[list[int]] = [[] for _ in range(C + E)]
-    edge_profiles: list[Counter] = []
-    for j, e in enumerate(h.edges):
-        profile = Counter(class_of[v] for v in e)
-        edge_profiles.append(profile)
-        for c, cnt in profile.items():
-            adj[c].extend([C + j] * cnt)
-            adj[C + j].extend([c] * cnt)
-    size_rank = {s: r for r, s in enumerate(sorted(set(sizes)))}
-    colors = [size_rank[s] for s in sizes] + [len(size_rank)] * E
+    adj = _incidence_adjacency(h)
+    # codes are strings, not nested tuples: repr, sorted and min recurse on those
+    kids: list[list[str]] = [[] for _ in adj]
+    deg = [len(a) for a in adj]
+    peeled = [False] * len(adj)
 
-    def encode(final: list[int]) -> bytes:
-        class_order = sorted(range(C), key=lambda c: final[c])
-        class_pos = {c: i for i, c in enumerate(class_order)}
-        # the trailing 1 keeps keys byte-stable: keys order enumerated
-        # members, so new key bytes would change enumerate and verify output
-        rows = sorted(
-            (tuple(sorted((class_pos[c], cnt) for c, cnt in profile.items())), 1)
-            for profile in edge_profiles
-        )
-        size_row = tuple(sizes[c] for c in class_order)
-        return repr((h.k, h.n, size_row, rows)).encode()
+    def code(x: int) -> str:
+        return ("V(" if x < n else "E(") + "".join(sorted(kids[x])) + ")"
 
-    return _canonize(adj, colors, encode)
+    layer = [x for x in range(len(adj)) if deg[x] == 1]
+    remaining = len(adj)
+    while layer and remaining > 2:
+        for x in layer:
+            peeled[x] = True
+        remaining -= len(layer)
+        nxt = []
+        for x in layer:
+            (p,) = [y for y in adj[x] if not peeled[y]]
+            kids[p].append(code(x))
+            deg[p] -= 1
+            if deg[p] == 1:
+                nxt.append(p)
+        layer = nxt
+    rest = [x for x in range(len(adj)) if not peeled[x]]
+    if len(rest) == 1:
+        body = code(rest[0])
+    elif len(rest) == 2:
+        # two adjacent centers are a vertex node and an edge node; "E" sorts
+        # before "V", so the rooting at the edge node is the smaller one
+        v, e = rest
+        kids[e].append(code(v))
+        body = code(e)
+    else:
+        cycle, prev = [rest[0]], None
+        while True:
+            x = next(y for y in adj[cycle[-1]] if not peeled[y] and y != prev)
+            if x == cycle[0]:
+                break
+            prev = cycle[-1]
+            cycle.append(x)
+        codes = [code(x) for x in cycle]
+        body = "C" + min(_least_rotation(codes), _least_rotation(codes[::-1]))
+    return f"{h.k},{n}:{body}".encode()
 
 
 def are_isomorphic(h1: Hypergraph, h2: Hypergraph) -> bool:

@@ -22,7 +22,9 @@ class OrderingError(AlphaTraceError):
 
 
 class UnsupportedError(AlphaTraceError):
-    """The requested closed form is not available for this input."""
+    """The input lies outside a routine's domain: a closed form that is
+    not available, or a canonical form of a hypergraph that is neither a
+    connected hypertree nor a connected unicyclic hypergraph."""
 
 
 class MethodDisagreement(AlphaTraceError):

@@ -9,8 +9,9 @@ JSON interchange format::
 
     {"k": int, "n": int, "edges": [[v, ...], ...]}
 
-Edges are sorted ascending on load; a repeated edge is an error.  An
-optional ``mult`` list is accepted only when every entry is 1.
+Every number is a JSON integer.  Edges are sorted ascending on load; a
+repeated edge is an error.  An optional ``mult`` list is accepted only
+when every entry is 1.
 """
 
 from __future__ import annotations
@@ -84,11 +85,21 @@ def hypergraph(k: int, n: int, edges: Iterable[Iterable[int]]) -> Hypergraph:
     return Hypergraph(k=k, n=n, edges=tuple(sorted(tuple(sorted(e)) for e in edges)))
 
 
+def _json_int(value, what: str) -> int:
+    """``value`` itself when it is a JSON integer; floats, strings and
+    booleans are rejected rather than truncated or parsed."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise HypergraphError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
 def from_json_dict(data: dict) -> Hypergraph:
-    if "mult" in data and any(int(x) != 1 for x in data["mult"]):
+    if any(_json_int(x, "mult entry") != 1 for x in data.get("mult", ())):
         raise HypergraphError("edge multiplicities other than 1 are not supported")
     return hypergraph(
-        int(data["k"]), int(data["n"]), [tuple(int(v) for v in e) for e in data["edges"]]
+        _json_int(data["k"], "k"),
+        _json_int(data["n"], "n"),
+        [tuple(_json_int(v, "edge entry") for v in e) for e in data["edges"]],
     )
 
 

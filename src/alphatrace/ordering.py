@@ -200,12 +200,12 @@ def sort_family(
     reported as groups, never silently broken.  Members of one group
     keep their input order."""
     _validate_d_max(d_max)
+    alpha = _validate_alpha(alpha)
     members = tuple(family)
     if not members:
-        return RankedFamily((), Fraction(alpha), 0, ())
+        return RankedFamily((), alpha, 0, ())
     for h in members[1:]:
         _validate_pair(members[0], h)
-    alpha = _validate_alpha(alpha)
     groups: list[list[int]] = [list(range(len(members)))]
     d_used = 0
     for d in range(d_max + 1):

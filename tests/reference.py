@@ -19,13 +19,20 @@ the same weights through infragraph shapes.
 of the brute-force moment sum and the arc digraph it induces;
 ``labeled_trees_k2`` lists every labeled tree through Pruefer
 sequences, an independent count for k = 2 tree enumeration.
+
+``canonical_form_reference`` is a general search canon that shares no
+code with the incidence-tree code: twin vertices collapse into one
+weighted class node, then colour refinement with individualization
+branches on every member of the first non-singleton colour class and
+keeps the smallest certificate.  It accepts any hypergraph and is
+exponential on symmetric inputs, so it only partitions small families.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-from collections import defaultdict
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, permutations, product
@@ -342,3 +349,77 @@ def labeled_trees_k2(m: int) -> list[Hypergraph]:
         edges.append(tuple(sorted(heap)))
         out.append(hypergraph(2, n, edges))
     return out
+
+
+def _refine(adj: list[list[int]], colors: list[int]) -> list[int]:
+    """Iterated neighborhood refinement to a stable coloring (parallel
+    incidences appear as repeated neighbors and are counted)."""
+    ncolors = len(set(colors))
+    while True:
+        sigs = [
+            (colors[x], tuple(sorted(colors[y] for y in adj[x])))
+            for x in range(len(adj))
+        ]
+        order = sorted(set(sigs))
+        rank = {s: i for i, s in enumerate(order)}
+        colors = [rank[s] for s in sigs]
+        if len(order) == ncolors:
+            return colors
+        ncolors = len(order)
+
+
+def _canonize(adj: list[list[int]], colors: list[int], encode) -> bytes:
+    colors = _refine(adj, colors)
+    counts = Counter(colors)
+    target = min((c for c in counts if counts[c] > 1), default=None)
+    if target is None:
+        return encode(colors)
+    best: bytes | None = None
+    for x in range(len(adj)):
+        if colors[x] != target:
+            continue
+        branched = [(c, 0 if i == x else 1) for i, c in enumerate(colors)]
+        order = sorted(set(branched))
+        rank = {s: i for i, s in enumerate(order)}
+        cert = _canonize(adj, [rank[s] for s in branched], encode)
+        if best is None or cert < best:
+            best = cert
+    assert best is not None
+    return best
+
+
+def canonical_form_reference(h: Hypergraph) -> bytes:
+    """Isomorphism-class key of any hypergraph by individualization search."""
+    incident: list[list[int]] = [[] for _ in range(h.n)]
+    for i, e in enumerate(h.edges):
+        for v in e:
+            incident[v].append(i)
+    twin_groups: dict[tuple[int, ...], list[int]] = {}
+    for v in range(h.n):
+        twin_groups.setdefault(tuple(incident[v]), []).append(v)
+    classes = sorted(twin_groups.values())
+    sizes = [len(c) for c in classes]
+    class_of = {v: idx for idx, members in enumerate(classes) for v in members}
+    C, E = len(classes), h.m
+    adj: list[list[int]] = [[] for _ in range(C + E)]
+    edge_profiles: list[Counter] = []
+    for j, e in enumerate(h.edges):
+        profile = Counter(class_of[v] for v in e)
+        edge_profiles.append(profile)
+        for c, cnt in profile.items():
+            adj[c].extend([C + j] * cnt)
+            adj[C + j].extend([c] * cnt)
+    size_rank = {s: r for r, s in enumerate(sorted(set(sizes)))}
+    colors = [size_rank[s] for s in sizes] + [len(size_rank)] * E
+
+    def encode(final: list[int]) -> bytes:
+        class_order = sorted(range(C), key=lambda c: final[c])
+        class_pos = {c: i for i, c in enumerate(class_order)}
+        rows = sorted(
+            tuple(sorted((class_pos[c], cnt) for c, cnt in profile.items()))
+            for profile in edge_profiles
+        )
+        size_row = tuple(sizes[c] for c in class_order)
+        return repr((h.k, h.n, size_row, rows)).encode()
+
+    return _canonize(adj, colors, encode)

@@ -88,6 +88,8 @@ def test_compare_bad_operand(capsys):
         (None, ("compare", "hyperpath:k=3,m=x", "hyperstar:k=3,m=3", "--alpha", "1/2"), "'x'"),
         (None, ("trace", "--family", "starlike", "--k", "3", "--arms", "2-x", "--d", "2"), "'2-x'"),
         (None, ("trace", "--input", "{broken}", "--d", "2"), "broken.json"),
+        # a number that is not an integer is rejected, not truncated
+        (None, ("trace", "--input", "{fractional}", "--d", "2"), "must be an integer"),
         # a rank the enumeration does not support is a usage error, not a budget
         (None, ("verify", "--theorem", "6.4", "--k", "5", "--m", "3", "--alpha", "1/2"), "got 5"),
         (None, ("sort", "--class", "hypertree", "--k", "5", "--m", "2", "--alpha", "1/2",
@@ -103,15 +105,17 @@ def test_compare_bad_operand(capsys):
          "--d must be >= 0"),
         (None, ("enumerate", "--class", "hypertree", "--k", "3", "--m", "-1"), "m must be >= 0"),
     ],
-    ids=["budget-env", "family-string", "arms", "json-file", "k5-verify", "k5-sort",
-         "compare-d-max", "sort-d-max", "verify-d-max", "trace-d", "enumerate-m"],
+    ids=["budget-env", "family-string", "arms", "json-file", "fractional-json", "k5-verify",
+         "k5-sort", "compare-d-max", "sort-d-max", "verify-d-max", "trace-d", "enumerate-m"],
 )
 def test_bad_outside_input_exits_2(budget_env, argv, bad, tmp_path, monkeypatch, capsys):
     broken = tmp_path / "broken.json"
     broken.write_text('{"k": 3, "n": ')
+    fractional = tmp_path / "fractional.json"
+    fractional.write_text('{"k": 2.9, "n": 3.5, "edges": [[0, 1.7], [1, 2]]}')
     if budget_env is not None:
         monkeypatch.setenv("ALPHATRACE_MAX_EDGES", budget_env)
-    code, out, err = run(capsys, *(a.format(broken=broken) for a in argv))
+    code, out, err = run(capsys, *(a.format(broken=broken, fractional=fractional) for a in argv))
     assert code == 2
     assert out == ""
     assert bad in err
@@ -216,20 +220,22 @@ def test_multi_hypergraph_file_exits_2(tmp_path, capsys):
 # skipped (order k+2 at k=2, the second-largest order-2 row below m=4) or a
 # second position is degenerate.  A change that alters these bytes on
 # purpose (for example a new canonical key order) must update the digests
-# and log why.
+# and log why.  Re-pinned when canonical keys became incidence-tree codes:
+# member order changed, and every report equals the previous one once its
+# member indices are mapped through the change of order.
 VERIFY_GOLDEN = {
     (3, 5): {
-        "5.1": (0, "e5b7db05f37ddb27f425510a6232d437569d5da4d9ec0da661184d959b8460ae"),
-        "5.2": (0, "6a2a6c25499497af7cd035f13c4d0b56ceca7f9a586517b8ad7ea2b8782efb49"),
-        "5.3": (0, "27c9c1f2c9d2faf144140bbcdac8f6c6d9e8d54f0354c32e229d92b3c469fc22"),
-        "5.5": (0, "416cda2baecbed30b47effd443cf8194be62d784352da007be352befa8a0a9f8"),
-        "5.6": (0, "58a49becebca9ef781ffaf80a4a7945a52d1d3de38c66a72d55b2c9fc9cdb69c"),
-        "5.7": (0, "cb9d864dc201c2dcb7b9d6302ef5f05c3d64923c932e613cda6db938ca4bbb41"),
-        "6.2": (0, "8fb7b0944f670bc30516a35774349d7d8b3665ae31cf6c1c61f87f32a4fe313a"),
-        "6.3": (0, "179fa10cf459f39d948fc5fba49053f6141a58ff90f7926d92c15e24eb07f0d7"),
-        "6.4": (0, "dc84940bd28dd5ac04a7da30e6706b76ba0f4cf800e6727de6cf85e4df5c00ac"),
-        "6.5": (0, "b9b54a362b961a4f0b92dbe4f57925763220379b103c5fc562dae23c40dac107"),
-        "6.6": (0, "72c0bd63dcb1f7839d2549dacf06191a4153c6f205cbb92e324ebdca9e89efa4"),
+        "5.1": (0, "6da8de706dce4c5dd6ddd7db31bd3d90a585a1ff5b1971ec3d8449b4c0ecda16"),
+        "5.2": (0, "44f2a2b048fa36ab5189dd4a0971bb61196ea6737d1c7657ed1a5fecdcf08e82"),
+        "5.3": (0, "b994321c8ed0fddbc05f17d377fabd64a06f00b2a7530717334c3813936c10ba"),
+        "5.5": (0, "4496a89d78c5d188b484fe7e540df50163f0ee70d23ad07a982839abd0e4e08c"),
+        "5.6": (0, "c2890cad78fa3d0ed46beb3be42fb7ab37500c5105f23b5d3ffa0b03c7686e2f"),
+        "5.7": (0, "59ba8aed70a7ddf7b796a92eb7030480cb0096da857cde1bc850e1d8d15578d5"),
+        "6.2": (0, "32d0bd35613681cb952951cafc617ed4b2b3a15ee64fe383d22f22b6ad25672d"),
+        "6.3": (0, "23beac33fa419328dd9d8b6bd87c6580bb5b72d7e32bd9eeff561301f1feed39"),
+        "6.4": (0, "7f35bc2169ec0643cdbf008550786c22ad1d9b9ebde06eca158966422f94000c"),
+        "6.5": (0, "f4f5e080a2a2dedb42916be7820c9a0d6858452179f5e9234a7b4600fb6562c0"),
+        "6.6": (0, "c7967c5b26378c1879755b340571e362429a586bf211bf7412b654851bdad7ba"),
         "7.1": (0, "6147392fbb6c3ee536f193e7651209ebaeaf233b3d8eebc0502ec2bf55d16045"),
         "7.2": (0, "96b40de4d490e93caf7403cb47cd1a0596a518da51e0ce1ac81c0f46c9ba84b6"),
         "7.3": (0, "dcd0422fa60b773015e1c576568952729955f5edac2e48cd5a6796057494c35f"),
@@ -243,9 +249,9 @@ VERIFY_GOLDEN = {
         "5.7": (1, "0b158a84789c0350b9ad42b4420f22a3f2e95cdf885f6207a3b33dc82f93819e"),
         "6.2": (1, "2b5bde2f5be4ecf8f3688051bde2b23275ee57e7fd18711b6ba840e22a3b25fd"),
         "6.3": (1, "9da7cf7907a150cab67f88c76ae2eb3b5fee133d84f23d9d36fe43801f4e1c14"),
-        "6.4": (0, "d8fd8f552f177b25272361ba171b2e7fdd5e331358a888995faf3c9623dff1be"),
+        "6.4": (0, "e0a7560292db788274742a071334519c16856269c5854d83b9ea31b233af2dba"),
         "6.5": (0, "f77bceabb7740f7453a87dca0ccd760c3ea323d23e9e18830624b057a00b2952"),
-        "6.6": (0, "b1eb4ac35adcb2fc275c1cbab0ef3720c4e7f65593148d634a9b8884ae95e493"),
+        "6.6": (0, "93d18b103134b9461ca4002933d7c9b750026e9431e9fa4b41c06f42266d8a15"),
         "7.1": (1, "4829e9572ae12abb57ec4af2d4f7d3e256321227c7b9f902b067e3075124f356"),
         "7.2": (1, "94de812573051e3d416913eb366519ba3fd1475c77e99b31c0f67b53a7f058c4"),
         "7.3": (0, "aabb0c1ae279999be68865a03ce2c5c68ca450716030d484773fe40136d88419"),
@@ -267,17 +273,17 @@ VERIFY_GOLDEN = {
         "7.3": (1, "1f72cd11a3b8a5a8103ac5acec42a1b692dbe268a0b9bc99d7755e0a5c200f97"),
     },
     (3, 4): {
-        "5.1": (0, "639bc9e6e5e7b21287d1441c1b84e86934e01ccafdd2ada403bd36973a68db57"),
-        "5.2": (0, "55321c6269da0d0c7779a38e30d501f9934ef8057581cc530091d6d962ee4cad"),
-        "5.3": (1, "69860fa2f1d1544adcbb2417adf91951ad10bba76dbcd815949eba9b14f43c78"),
-        "5.5": (0, "bc3177bc397c341a6f0f3b9914ca3563e59330465e77a86660c754da08bed502"),
-        "5.6": (0, "76491c22049eb9f4906d7edb56117c650cfe19f6a928e283b530bb8a9f0a63b0"),
-        "5.7": (0, "a23415d84bc38a7133dba5e50bf04489b78e7e1d6363ae8ebf40b1617233989f"),
-        "6.2": (0, "369dfec9ac8ac6343b3772ac29cd78639282d4f13076468b95e0bb010278bae9"),
-        "6.3": (0, "286bb98b9f3eba7cd22ab230b5b13a8237a77a8cf46015805028ea8a807cebc2"),
-        "6.4": (0, "ec28d63ba4d9c257d4e0102e3fca0ce5c389c9b41c81f252f323b1608d27134a"),
-        "6.5": (0, "c36eec812623bc76c69f80c414193096f1f9d465b386fb3d0737e7afb6a487b9"),
-        "6.6": (0, "778cb93353a4e4bda8f0f6298896ca7b3f8871654183ec992b270e306808844e"),
+        "5.1": (0, "0ad58ab5bb2fc119b7cc34a09a62a8fd5e6fc54b965809635257a7884239bdc4"),
+        "5.2": (0, "fd34664569996a38127fefdaafdbae1d5b1fc4e282c29b6664164d9b36f70379"),
+        "5.3": (1, "7b23a9ff52f74eeacd90985475ec415145730797387d489427560def32698c1a"),
+        "5.5": (0, "4abebce4a529df37ea56436ce660c98199a84b684eb713cab869f6aec9dc5f1b"),
+        "5.6": (0, "1678583fc92a09e5067ba0f82ef80c4031010826c51cc9e40459addd8e737b98"),
+        "5.7": (0, "9c8f4d1025f3927c0ae766314612bbc3109742ab081a16c7271f1dc47fb009e0"),
+        "6.2": (0, "67884570c169f1448f01afbb8ccf2f3473f5febbf387c2cf1b951a83cc94cf61"),
+        "6.3": (0, "e0a3eef36b4dd92ec0b39ea6e7ec970f8f081b70dc5597121693dc83fbb17c22"),
+        "6.4": (0, "a0a0b8eeaabe1cab7a8167a645bd21eb0d3220163b7d5e6e9b641f2b5f3bd015"),
+        "6.5": (0, "64cd9ce8600c7c8b20351de384481edf7170ce2492d5ea39a090376d1e672ed8"),
+        "6.6": (0, "5fb7cbac3b6ee826a6957ef71663f018ec4f63b7fe144e5ffd2dfd222fbe71a1"),
         "7.1": (1, "4bfdf3cd6be51b21b214d8ed621d6788dbde3f9a905984406703be58f6836e37"),
         "7.2": (0, "d0b739a97b04be9ed47bafcd86d291656d4657a86014b770d7165445f8ef7748"),
         "7.3": (0, "d67f4294d631868aeeff175b1460be9ec45ed8a02477218fea7cf1df3b6b1cd3"),

@@ -39,6 +39,18 @@ def test_repeated_edge_rejected():
     assert h == hypergraph(2, 2, [(0, 1)])
 
 
+def test_json_numbers_must_be_integers():
+    good = {"k": 2, "n": 3, "edges": [[0, 1], [1, 2]]}
+    assert from_json_dict(good) == hypergraph(2, 3, [(0, 1), (1, 2)])
+    for key, value in (
+        ("k", 2.9), ("k", "2"), ("k", True), ("n", 3.5), ("n", "3"),
+        ("edges", [[0, 1.7], [1, 2]]), ("edges", [[0, "1"], [1, 2]]),
+        ("edges", [[0, True], [1, 2]]), ("mult", [1.0, 1]), ("mult", [True, 1]),
+    ):
+        with pytest.raises(HypergraphError):
+            from_json_dict({**good, key: value})
+
+
 def test_degree_sequence_examples():
     assert hyperpath(3, 1).degrees() == (1, 1, 1)
     assert hyperpath(3, 2).degrees() == (1, 1, 2, 1, 1)

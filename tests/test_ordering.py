@@ -173,6 +173,9 @@ def test_sort_singleton():
     family = [hypercycle(3, 3)]
     ranked = sort_family(family, HALF, 4)
     assert ranked.groups == ((0,),)
+    # alpha is checked before an empty family returns early
+    with pytest.raises(OrderingError):
+        sort_family([], Fraction(3, 2), 4)
 
 
 def test_verify_smoke_and_claims_list():
