@@ -68,7 +68,6 @@ from .trace import (
     trace_closed,
     trace_decomposed,
     trace_k_plus_2,
-    trace_order_zero,
     trace_structural,
 )
 from .transforms import (

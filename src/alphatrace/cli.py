@@ -21,7 +21,7 @@ from . import enumeration, ordering
 from .errors import AlphaTraceError, BudgetExceeded, MethodDisagreement
 from .families import KINDS, FamilySpec, build_family, parse_arms, parse_family_string
 from .hypergraph import HYPERTREE, LINEAR_UNICYCLIC, Hypergraph, loads
-from .trace import trace, trace_bruteforce, trace_order_zero
+from .trace import check_against_bruteforce, trace, trace_bruteforce, trace_closed
 
 EXIT_OK = 0
 EXIT_VIOLATED = 1
@@ -29,6 +29,9 @@ EXIT_USAGE = 2
 EXIT_BUDGET = 3
 
 BUDGET_ENV = "ALPHATRACE_MAX_EDGES"
+
+# ``trace --method``: the library's ``trace`` is the structural route
+ROUTES = {"structural": trace, "brute": trace_bruteforce, "closed": trace_closed}
 
 
 class UsageError(AlphaTraceError):
@@ -98,9 +101,8 @@ def _emit(args, payload: dict, text_lines: list[str], csv_rows: list[list] | Non
     fmt = args.format
     if fmt == "json":
         out = json.dumps(payload, sort_keys=True, indent=2) + "\n"
-    elif fmt == "csv":
-        rows = csv_rows or []
-        out = "\n".join(",".join(str(x) for x in row) for row in rows) + "\n"
+    elif fmt == "csv":  # offered only by the commands that pass rows
+        out = "\n".join(",".join(str(x) for x in row) for row in csv_rows) + "\n"
     else:
         out = "\n".join(text_lines) + "\n"
     if args.out:
@@ -123,15 +125,9 @@ def cmd_trace(args) -> int:
     csv_rows = [["key", "d", "coeff_index", "numerator", "denominator"]]
     lines = [f"moments of {key} (k={h.k}, n={h.n}, m={h.m})"]
     for d in range(args.d + 1):
-        poly = trace(h, d, args.method) if d else trace_order_zero(h)
-        if args.cross_check and d:
-            ref = trace_bruteforce(h, d)
-            if ref != poly:
-                sys.stderr.write(
-                    "method disagreement at order %d\n structural: %s\n bruteforce: %s\n"
-                    % (d, poly.pretty(), ref.pretty())
-                )
-                return EXIT_VIOLATED
+        poly = ROUTES[args.method](h, d)
+        if args.cross_check:
+            check_against_bruteforce(h, d, poly, args.method)
         results.append({"d": d, "poly": poly.to_json()})
         for idx, (num, den) in enumerate(poly.to_json()):
             csv_rows.append([key, d, idx, num, den])
@@ -152,19 +148,15 @@ def cmd_compare(args) -> int:
     d_max = _d_max(args, h1.k)
     if args.symbolic:
         verdict = ordering.compare_symbolic(h1, h2, d_max)
-        payload = verdict.to_json_dict()
         lines = [f"{args.a} vs {args.b}: {verdict.relation}"]
-        if verdict.first_diff_order is not None:
-            lines.append(f"  first differing order: {verdict.first_diff_order}")
     else:
         verdict = ordering.compare_at_alpha(
             h1, h2, alpha, d_max, cross_check=args.cross_check
         )
-        payload = verdict.to_json_dict()
         lines = [f"{args.a} vs {args.b} at alpha={alpha}: {verdict.relation}"]
-        if verdict.first_diff_order is not None:
-            lines.append(f"  first differing order: {verdict.first_diff_order}")
-    _emit(args, payload, lines)
+    if verdict.first_diff_order is not None:
+        lines.append(f"  first differing order: {verdict.first_diff_order}")
+    _emit(args, verdict.to_json_dict(), lines)
     return EXIT_OK
 
 
@@ -244,8 +236,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--format", choices=("table", "json", "csv"), default="table")
+    def common(p, *formats):
+        p.add_argument("--format", choices=("table", "json", *formats), default="table")
         p.add_argument("--out", help="write output to this file instead of stdout")
 
     p = sub.add_parser("trace", help="moment polynomials of one hypergraph")
@@ -259,9 +251,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n3", type=int)
     p.add_argument("--arms", help="starlike arm lengths, e.g. 2-1-1")
     p.add_argument("--d", type=int, required=True, help="compute orders 0..d")
-    p.add_argument("--method", choices=("auto", "structural", "brute", "closed"), default="auto")
+    p.add_argument("--method", choices=tuple(ROUTES), default="structural")
     p.add_argument("--cross-check", action="store_true")
-    common(p)
+    common(p, "csv")
     p.set_defaults(func=cmd_trace)
 
     p = sub.add_parser("compare", help="compare two hypergraphs in moment order")
@@ -286,9 +278,10 @@ def build_parser() -> argparse.ArgumentParser:
         if name == "sort":
             p.add_argument("--alpha", required=True)
             p.add_argument("--d-max", type=int, default=None)
+            common(p, "csv")
         else:
             p.add_argument("--out-dir", help="dump JSON files plus a manifest here")
-        common(p)
+            common(p)
         p.set_defaults(func=fn)
 
     p = sub.add_parser("verify", help="verify a cataloged extremal claim")

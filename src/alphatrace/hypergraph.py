@@ -94,12 +94,14 @@ def _json_int(value, what: str) -> int:
 
 
 def from_json_dict(data: dict) -> Hypergraph:
-    if any(_json_int(x, "mult entry") != 1 for x in data.get("mult", ())):
-        raise HypergraphError("edge multiplicities other than 1 are not supported")
+    edges = data["edges"]
+    mult = data.get("mult", [1] * len(edges))
+    if len(mult) != len(edges) or any(_json_int(x, "mult entry") != 1 for x in mult):
+        raise HypergraphError(f"mult must give multiplicity 1 to each of the {len(edges)} edges")
     return hypergraph(
         _json_int(data["k"], "k"),
         _json_int(data["n"], "n"),
-        [tuple(_json_int(v, "edge entry") for v in e) for e in data["edges"]],
+        [tuple(_json_int(v, "edge entry") for v in e) for e in edges],
     )
 
 

@@ -34,7 +34,7 @@ from typing import Callable, Sequence
 
 from .canon import canonical_form
 from .enumeration import DEFAULT_MAX_EDGES, FamilyFilter, enumerate_family
-from .errors import MethodDisagreement, OrderingError
+from .errors import OrderingError
 from .families import (
     cycle_with_pendant_star,
     cycle_with_tail,
@@ -47,8 +47,8 @@ from .families import (
     triangle_with_pendant_counts,
 )
 from .hypergraph import HYPERTREE, LINEAR_UNICYCLIC, Hypergraph
-from .polynomial import AlphaPoly, sign_on_open_unit
-from .trace import trace, trace_bruteforce
+from .polynomial import sign_on_open_unit
+from .trace import check_against_bruteforce, trace
 
 LESS = "less"
 GREATER = "greater"
@@ -111,23 +111,6 @@ def _validate_d_max(d_max: int):
         raise OrderingError(f"order bound d_max must be >= 0, got {d_max}")
 
 
-def _moment(h: Hypergraph, d: int, cross_check: bool) -> AlphaPoly:
-    poly = trace(h, d)
-    if cross_check:
-        ref = trace_bruteforce(h, d)
-        if ref != poly:
-            raise MethodDisagreement(
-                f"moment of order {d} disagrees between methods",
-                {
-                    "order": d,
-                    "hypergraph": h.to_json_dict(),
-                    "structural": poly.to_json(),
-                    "bruteforce": ref.to_json(),
-                },
-            )
-    return poly
-
-
 def compare_at_alpha(
     h1: Hypergraph,
     h2: Hypergraph,
@@ -140,8 +123,11 @@ def compare_at_alpha(
     _validate_d_max(d_max)
     alpha = _validate_alpha(alpha)
     for d in range(d_max + 1):
-        v1 = _moment(h1, d, cross_check).evaluate(alpha)
-        v2 = _moment(h2, d, cross_check).evaluate(alpha)
+        p1, p2 = trace(h1, d), trace(h2, d)
+        if cross_check:
+            check_against_bruteforce(h1, d, p1)
+            check_against_bruteforce(h2, d, p2)
+        v1, v2 = p1.evaluate(alpha), p2.evaluate(alpha)
         if v1 < v2:
             return OrderVerdict(LESS, d, d_max)
         if v1 > v2:

@@ -6,7 +6,8 @@ tensor and A the adjacency tensor (edge entries 1/(k-1)!).  The d-th
 moment is the power sum of its n(k-1)^{n-1} eigenvalues.  It equals a
 weighted sum over index assignments: each assignment contributes the
 product of its tensor entries times a closed-walk count of the arc
-digraph its rows induce.
+digraph its rows induce.  Order 0 is no special case: its one (empty)
+assignment counts n(k-1)^{n-1} = (k-1)^{n-1} sum deg^0 eigenvalues.
 
 Two independent evaluation routes are implemented:
 
@@ -14,7 +15,9 @@ Two independent evaluation routes are implemented:
   arc star (root plus target multiset); the (k-1)! row permutations of
   an edge row collapse against the 1/(k-1)! entry, so each edge row
   carries weight (1-alpha) and each diagonal row alpha * deg(v).
-  Unbalanced or disconnected digraphs are pruned.
+  Unbalanced or disconnected digraphs are pruned.  It refuses orders
+  needing more than ``MAX_ASSIGNMENT_CLASSES`` classes with
+  ``BudgetExceeded``.
 * ``trace_structural``: the same sum reorganized over connected
   k-valent sub-multigraphs (Veblen infragraphs).  An assignment with a
   nonzero walk count consists of edge rows whose multiset forms such an
@@ -50,8 +53,10 @@ Both routes produce a table indexed by (diagonal rows, edge rows) and
 build the moment polynomial from it; the degree-tensor slice
 (alpha = 1), the adjacency slice (alpha = 0) and the signless-Laplacian
 scaling (2^d times alpha = 1/2) are evaluations of that polynomial.
+``trace`` is the structural route; ``check_against_bruteforce`` is the
+one cross-check of any route's result against the brute force.
 
-Closed forms: orders 1..k-1 are pure degree moments; order k adds a
+Closed forms: orders 0..k-1 are pure degree moments; order k adds a
 term linear in the edge count; order k+1 adds the degree square sum and
 one term per complete subhypergraph on k+1 vertices, weighted by that
 subhypergraph's rooted spanning-tree sum W' (the same W' the structural
@@ -70,28 +75,27 @@ from functools import lru_cache
 from itertools import combinations
 
 from .digraph import count_in_arborescences
-from .errors import BudgetExceeded, UnsupportedError
+from .errors import BudgetExceeded, MethodDisagreement, UnsupportedError
 from .hypergraph import Hypergraph, complete_subhypergraphs, connects
 from .polynomial import AlphaPoly, basis_term
 
-DEFAULT_MAX_ASSIGNMENT_CLASSES = 2_000_000
+MAX_ASSIGNMENT_CLASSES = 2_000_000
 MAX_WALK_NODES = 10_000_000
 TRACE_CACHE_SIZE = 16384
 
 Components = dict[tuple[int, int], Fraction]
 
 
+def degree_moment(h: Hypergraph, d: int) -> Fraction:
+    """The d-th moment of the pure degree tensor: (k-1)^{n-1} sum deg^d."""
+    return Fraction((h.k - 1) ** (h.n - 1) * sum(x**d for x in h.degrees()))
+
+
 def phi(h: Hypergraph, s: int) -> AlphaPoly:
     """(k-1)^{n-1} * (sum of deg^s) * alpha^s, the pure-degree monomial."""
     if s < 0:
         raise ValueError("s must be nonnegative")
-    total = sum(d**s for d in h.degrees())
-    return AlphaPoly.monomial(s, (h.k - 1) ** (h.n - 1) * total)
-
-
-def trace_order_zero(h: Hypergraph) -> AlphaPoly:
-    """Order-0 moment: the number of tensor eigenvalues, n(k-1)^{n-1}."""
-    return AlphaPoly.constant(h.n * (h.k - 1) ** (h.n - 1))
+    return AlphaPoly.monomial(s, degree_moment(h, s))
 
 
 def components_to_poly(comp: Components) -> AlphaPoly:
@@ -120,19 +124,17 @@ def _star_classes(h: Hypergraph) -> list[_Star]:
     return stars
 
 
-def brute_components(
-    h: Hypergraph, d: int, max_classes: int = DEFAULT_MAX_ASSIGNMENT_CLASSES
-) -> Components:
+def brute_components(h: Hypergraph, d: int) -> Components:
     """Moment table by direct enumeration of assignment classes."""
     if d == 0:
         return {(0, 0): Fraction(h.n * (h.k - 1) ** (h.n - 1))}
     stars = _star_classes(h)
     S = len(stars)
     estimate = math.comb(S + d - 1, d)
-    if estimate > max_classes:
+    if estimate > MAX_ASSIGNMENT_CLASSES:
         raise BudgetExceeded(
-            f"assignment enumeration needs {estimate} classes (cap {max_classes})",
-            {"classes": estimate, "cap": max_classes, "order": d},
+            f"assignment enumeration needs {estimate} classes (cap {MAX_ASSIGNMENT_CLASSES})",
+            {"classes": estimate, "cap": MAX_ASSIGNMENT_CLASSES, "order": d},
         )
     km1 = h.k - 1
     deg = h.degrees()
@@ -212,18 +214,30 @@ def brute_components(
     return {key: value * scale for key, value in comp.items()}
 
 
-def trace_bruteforce(
-    h: Hypergraph, d: int, max_classes: int = DEFAULT_MAX_ASSIGNMENT_CLASSES
-) -> AlphaPoly:
+def trace_bruteforce(h: Hypergraph, d: int) -> AlphaPoly:
     """The d-th moment by assignment enumeration (exact, budget-capped)."""
-    if d == 0:
-        return trace_order_zero(h)
-    return components_to_poly(brute_components(h, d, max_classes))
+    return components_to_poly(brute_components(h, d))
 
 
-def trace_decomposed(
-    h: Hypergraph, d: int, max_classes: int = DEFAULT_MAX_ASSIGNMENT_CLASSES
-) -> tuple[AlphaPoly, AlphaPoly, AlphaPoly]:
+def check_against_bruteforce(
+    h: Hypergraph, d: int, poly: AlphaPoly, route: str = "structural"
+) -> None:
+    """Raise ``MethodDisagreement`` unless ``poly``, the d-th moment by
+    ``route``, equals ``trace_bruteforce(h, d)``."""
+    ref = trace_bruteforce(h, d)
+    if ref != poly:
+        raise MethodDisagreement(
+            f"moment of order {d} disagrees between methods",
+            {
+                "order": d,
+                "hypergraph": h.to_json_dict(),
+                route: poly.to_json(),
+                "bruteforce": ref.to_json(),
+            },
+        )
+
+
+def trace_decomposed(h: Hypergraph, d: int) -> tuple[AlphaPoly, AlphaPoly, AlphaPoly]:
     """Split the brute-force sum by row kinds into (w1, w2, w3).
 
     w1 collects all-diagonal assignments, w2 all-edge, w3 mixed; the
@@ -231,7 +245,7 @@ def trace_decomposed(
     """
     if d < 1:
         raise ValueError("decomposition defined for d >= 1")
-    comp = brute_components(h, d, max_classes)
+    comp = brute_components(h, d)
     scale = Fraction(1, (h.k - 1) ** (h.n - 1))
     w1 = basis_term(d, 0) * (comp.get((d, 0), Fraction(0)) * scale)
     w2 = basis_term(0, d) * (comp.get((0, d), Fraction(0)) * scale)
@@ -454,11 +468,7 @@ def structural_components(h: Hypergraph, d: int) -> Components:
     (d - e, e) is therefore d / e! times the sum of C * h_{d-e}(degrees)
     over ``_infragraph_table(h, e)``.
     """
-    if d == 0:
-        return {(0, 0): Fraction(h.n * (h.k - 1) ** (h.n - 1))}
-    comp: Components = {
-        (d, 0): Fraction((h.k - 1) ** (h.n - 1) * sum(x**d for x in h.degrees()))
-    }
+    comp: Components = {(d, 0): degree_moment(h, d)}
     for e in range(1, d + 1):
         table = _infragraph_table(h, e)
         if table:
@@ -474,38 +484,21 @@ def _structural_components_cached(h: Hypergraph, d: int) -> AlphaPoly:
 
 def trace_structural(h: Hypergraph, d: int) -> AlphaPoly:
     """The d-th moment via the infragraph decomposition."""
-    if d == 0:
-        return trace_order_zero(h)
     return _structural_components_cached(h, d)
 
 
-def trace(h: Hypergraph, d: int, method: str = "auto") -> AlphaPoly:
-    """The d-th moment.  ``method``: auto|structural|brute|closed."""
-    if method in ("auto", "structural"):
-        return trace_structural(h, d)
-    if method == "brute":
-        return trace_bruteforce(h, d)
-    if method == "closed":
-        return trace_closed(h, d) if d else trace_order_zero(h)
-    raise ValueError(f"unknown trace method {method!r}")
+def trace(h: Hypergraph, d: int) -> AlphaPoly:
+    """The d-th moment, by the structural route."""
+    return trace_structural(h, d)
 
 
 def adjacency_moment(h: Hypergraph, d: int) -> Fraction:
     """The d-th moment of the pure adjacency tensor (a rational number)."""
-    if d == 0:
-        return Fraction(h.n * (h.k - 1) ** (h.n - 1))
     return _structural_components_cached(h, d).evaluate(Fraction(0))
-
-
-def degree_moment(h: Hypergraph, d: int) -> Fraction:
-    """The d-th moment of the pure degree tensor: (k-1)^{n-1} sum deg^d."""
-    return Fraction((h.k - 1) ** (h.n - 1) * sum(x**d for x in h.degrees()))
 
 
 def signless_laplacian_moment(h: Hypergraph, d: int) -> Fraction:
     """Moment of D + A, which equals 2^d times the alpha = 1/2 evaluation."""
-    if d == 0:
-        return Fraction(h.n * (h.k - 1) ** (h.n - 1))
     return 2**d * _structural_components_cached(h, d).evaluate(Fraction(1, 2))
 
 
@@ -521,10 +514,10 @@ def _clique_tree_weight(k: int) -> int:
 
 
 def trace_closed(h: Hypergraph, d: int) -> AlphaPoly:
-    """Closed-form moment for 1 <= d <= k+2."""
+    """Closed-form moment for 0 <= d <= k+2."""
     k, n = h.k, h.n
-    if not 1 <= d <= k + 2:
-        raise UnsupportedError(f"closed forms cover orders 1..k+2, got {d}")
+    if not 0 <= d <= k + 2:
+        raise UnsupportedError(f"closed forms cover orders 0..k+2, got {d}")
     if d <= k - 1:
         return phi(h, d)
     if d == k:
@@ -549,10 +542,7 @@ def trace_k_plus_2(h: Hypergraph) -> AlphaPoly:
     k, n = h.k, h.n
     d = k + 2
     deg = h.degrees()
-    result = phi(h, d)
-    adj = adjacency_moment(h, d)
-    if adj:
-        result = result + basis_term(0, d) * adj
+    result = phi(h, d) + basis_term(0, d) * adjacency_moment(h, d)
     corr = 0
     for e in h.edges:
         ds = [deg[v] for v in e]

@@ -303,3 +303,87 @@ def test_verify_golden_bytes(capsys):
             )
             got = (code, hashlib.sha256(out.encode()).hexdigest())
             assert got == (want_code, want_digest), (cid, k, m)
+
+
+def test_csv_rows_of_trace_and_sort(capsys):
+    code, out, _ = run(
+        capsys, "trace", "--family", "hyperpath", "--k", "3", "--m", "1", "--d", "3",
+        "--format", "csv",
+    )
+    assert code == 0
+    assert out.splitlines() == [
+        "key,d,coeff_index,numerator,denominator",
+        "hyperpath,0,0,12,1",
+        "hyperpath,1,0,0,1",
+        "hyperpath,1,1,12,1",
+        "hyperpath,2,0,0,1",
+        "hyperpath,2,1,0,1",
+        "hyperpath,2,2,12,1",
+        "hyperpath,3,0,9,1",
+        "hyperpath,3,1,-27,1",
+        "hyperpath,3,2,27,1",
+        "hyperpath,3,3,3,1",
+    ]
+    code, out, _ = run(
+        capsys, "sort", "--class", "hypertree", "--k", "3", "--m", "3", "--alpha", "1/2",
+        "--format", "csv",
+    )
+    assert code == 0
+    assert out.splitlines() == [
+        "rank,member,edges",
+        "0,0,[[0, 1, 2], [0, 3, 4], [1, 5, 6]]",
+        "1,1,[[0, 1, 2], [0, 3, 4], [0, 5, 6]]",
+    ]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("compare", "hyperpath:k=3,m=2", "hyperstar:k=3,m=2", "--alpha", "1/2"),
+        ("enumerate", "--class", "hypertree", "--k", "3", "--m", "3"),
+        ("verify", "--theorem", "6.4", "--k", "3", "--m", "4", "--alpha", "1/2"),
+    ],
+    ids=["compare", "enumerate", "verify"],
+)
+def test_csv_only_where_rows_exist(argv, capsys):
+    with pytest.raises(SystemExit) as info:
+        main([*argv, "--format", "csv"])
+    assert info.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "invalid choice: 'csv'" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("trace", "--family", "hyperstar", "--k", "3", "--m", "2", "--d", "4", "--cross-check"),
+        ("compare", "hyperpath:k=3,m=3", "hyperstar:k=3,m=3", "--alpha", "1/2", "--cross-check"),
+    ],
+    ids=["trace", "compare"],
+)
+def test_cross_check_disagreement_exits_1(argv, monkeypatch, capsys):
+    trace_module = importlib.import_module("alphatrace.trace")
+    brute = trace_module.trace_bruteforce
+
+    def off_by_one(h, d):
+        return brute(h, d) + 1 if d == 2 else brute(h, d)
+
+    monkeypatch.setattr(trace_module, "trace_bruteforce", off_by_one)
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert "method disagreement" in err
+    assert '"order": 2' in err and '"structural"' in err
+
+
+def test_trace_brute_budget_exit(monkeypatch, capsys):
+    trace_module = importlib.import_module("alphatrace.trace")
+    monkeypatch.setattr(trace_module, "MAX_ASSIGNMENT_CLASSES", 1000)
+    code, out, err = run(
+        capsys, "trace", "--family", "hyperpath", "--k", "3", "--m", "4", "--d", "8",
+        "--method", "brute",
+    )
+    assert code == 3
+    assert out == ""
+    assert "cap 1000" in err

@@ -37,6 +37,10 @@ def test_repeated_edge_rejected():
         from_json_dict({"k": 2, "n": 2, "edges": [[0, 1]], "mult": [2]})
     h = from_json_dict({"k": 2, "n": 2, "edges": [[1, 0]], "mult": [1]})
     assert h == hypergraph(2, 2, [(0, 1)])
+    # a mult list must have one entry per edge
+    for mult in ([1, 1, 1], []):
+        with pytest.raises(HypergraphError):
+            from_json_dict({"k": 2, "n": 2, "edges": [[0, 1]], "mult": mult})
 
 
 def test_json_numbers_must_be_integers():

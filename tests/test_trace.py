@@ -21,7 +21,6 @@ from alphatrace import (
     trace_closed,
     trace_decomposed,
     trace_k_plus_2,
-    trace_order_zero,
     trace_structural,
 )
 from alphatrace.matrix_oracle import matrix_power_trace
@@ -64,7 +63,7 @@ DENSE_3GRAPH = hypergraph(
 
 def test_phi_examples():
     e = hyperpath(3, 1)
-    assert phi(e, 0) == trace_order_zero(e) == AlphaPoly.constant(12)
+    assert phi(e, 0) == trace(e, 0) == AlphaPoly.constant(12)
     assert phi(e, 3) == AlphaPoly.monomial(3, 12)
     assert phi(hyperstar(3, 2), 2) == AlphaPoly.monomial(2, 128)
 
@@ -204,9 +203,10 @@ def test_trace_k_plus_2_on_cycles():
         assert trace_k_plus_2(h) == trace_bruteforce(h, 5)
 
 
-def test_budget_guard():
+def test_budget_guard(monkeypatch):
+    monkeypatch.setattr(trace_module, "MAX_ASSIGNMENT_CLASSES", 1000)
     with pytest.raises(BudgetExceeded):
-        trace_bruteforce(hyperpath(3, 4), 8, max_classes=1000)
+        trace_bruteforce(hyperpath(3, 4), 8)
 
 
 def test_enumerate_veblen_examples():
@@ -352,5 +352,10 @@ def test_rank_four_spot_checks():
 
 
 def test_brute_order_zero():
-    for h in corpus(3, 3):
-        assert trace_bruteforce(h, 0) == AlphaPoly.constant(h.n * 2 ** (h.n - 1))
+    # order 0 counts the n(k-1)^{n-1} eigenvalues on every route and slice
+    for h in corpus(2, 4) + corpus(3, 3):
+        count = h.n * (h.k - 1) ** (h.n - 1)
+        for route in (trace_structural, trace_bruteforce, trace_closed, trace):
+            assert route(h, 0) == AlphaPoly.constant(count), (route, h)
+        for moment in (adjacency_moment, signless_laplacian_moment, degree_moment):
+            assert moment(h, 0) == count, (moment, h)
