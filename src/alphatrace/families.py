@@ -179,9 +179,13 @@ class FamilySpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ParameterError(f"unknown family kind {self.kind!r}")
-        missing = [p for p in KINDS[self.kind][0] if p not in self.params]
+        names = KINDS[self.kind][0]
+        missing = [p for p in names if p not in self.params]
         if missing:
             raise ParameterError(f"family {self.kind!r} missing params {missing}")
+        unknown = sorted(set(self.params) - set(names))
+        if unknown:
+            raise ParameterError(f"family {self.kind!r} does not take params {unknown}")
 
 
 def build_family(spec: FamilySpec) -> Hypergraph:
@@ -202,10 +206,11 @@ def parse_family_string(text: str) -> FamilySpec:
     kind, _, rest = text.partition(":")
     kind = kind.strip()
     params: dict = {}
-    k = None
     for piece in filter(None, (s.strip() for s in rest.split(","))):
         key, _, value = piece.partition("=")
         key = key.strip()
+        if key in params:
+            raise ParameterError(f"family string {text!r} sets {key} more than once")
         if key == "arms":
             params["arms"] = parse_arms(value)
             continue
@@ -215,10 +220,8 @@ def parse_family_string(text: str) -> FamilySpec:
             raise ParameterError(
                 f"family string {text!r}: {key} must be an integer, got {value!r}"
             ) from None
-        if key == "k":
-            k = number
-        else:
-            params[key] = number
+        params[key] = number
+    k = params.pop("k", None)
     if k is None:
         raise ParameterError(f"family string {text!r} must set k")
     return FamilySpec(kind, k, params)

@@ -2,12 +2,16 @@
 
 Hypergraphs with the same k and vertex count are compared by walking
 the moment sequence Tr_0, Tr_1, ... until the first strict difference.
-``compare_at_alpha`` decides at one exact rational alpha = p/q in (0, 1)
-on the integers q^d Tr_d(p/q) (every order-d moment has degree <= d);
+At one exact rational alpha = p/q in (0, 1) that walk is one refinement
+loop, ``_refine``: it buckets members on the integers q^d Tr_d(p/q)
+(every order-d moment has degree <= d), one order at a time, until no
+group is tied.  ``compare_at_alpha`` refines a pair, ``sort_family``
+keeps the last refinement of a family, ties as explicit groups, and
+``verify_theorem`` walks one refinement per family, extended in place
+past the starting order budget while a tie blocks the claimed position;
+a moment row buckets its family once, at the row's order.
 ``compare_symbolic`` decides the sign of the first differing moment
-polynomial on all of (0, 1) by exact root isolation.  ``sort_family``
-ranks a family on those integers, ties as explicit groups, and
-``verify_theorem`` checks the cataloged claims by exhaustive enumeration.
+polynomial on all of (0, 1) by exact root isolation.
 
 The catalog is data.  A position claim (5.x, 6.x) names a family, a
 position in its ranking and the builder of the hypergraph said to hold
@@ -31,7 +35,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .canon import canonical_form
 from .enumeration import DEFAULT_MAX_EDGES, FamilyFilter, enumerate_family
@@ -112,6 +116,29 @@ def _validate_d_max(d_max: int):
         raise OrderingError(f"order bound d_max must be >= 0, got {d_max}")
 
 
+def _refine(members: Sequence[Hypergraph], alpha: Fraction, orders: Iterable[int]):
+    """Yield ``(d, groups)`` after each order d of ``orders``: ``groups``
+    lists member indices in ascending order of the integers q^d Tr_d(p/q)
+    read so far, lexicographically, tied members in input order.  Stops
+    once no group is tied."""
+    p, q = alpha.numerator, alpha.denominator
+    groups = [tuple(range(len(members)))]
+    for d in orders:
+        refined: list[tuple[int, ...]] = []
+        for g in groups:
+            if len(g) == 1:
+                refined.append(g)
+                continue
+            buckets: dict[int, list[int]] = {}
+            for i in g:
+                buckets.setdefault(trace(members[i], d).scaled_value(p, q, d), []).append(i)
+            refined.extend(tuple(buckets[value]) for value in sorted(buckets))
+        groups = refined
+        yield d, groups
+        if all(len(g) == 1 for g in groups):
+            return
+
+
 def compare_at_alpha(
     h1: Hypergraph,
     h2: Hypergraph,
@@ -123,17 +150,12 @@ def compare_at_alpha(
     _validate_pair(h1, h2)
     _validate_d_max(d_max)
     alpha = _validate_alpha(alpha)
-    p, q = alpha.numerator, alpha.denominator
-    for d in range(d_max + 1):
-        p1, p2 = trace(h1, d), trace(h2, d)
+    for d, groups in _refine((h1, h2), alpha, range(d_max + 1)):
         if cross_check:
-            check_against_bruteforce(h1, d, p1)
-            check_against_bruteforce(h2, d, p2)
-        v1, v2 = p1.scaled_value(p, q, d), p2.scaled_value(p, q, d)
-        if v1 < v2:
-            return OrderVerdict(LESS, d, d_max)
-        if v1 > v2:
-            return OrderVerdict(GREATER, d, d_max)
+            check_against_bruteforce(h1, d, trace(h1, d))
+            check_against_bruteforce(h2, d, trace(h2, d))
+        if len(groups) == 2:
+            return OrderVerdict(LESS if groups[0] == (0,) else GREATER, d, d_max)
     return OrderVerdict(EQUAL_UP_TO, None, d_max)
 
 
@@ -165,20 +187,8 @@ class RankedFamily:
     d_used: int
     groups: tuple[tuple[int, ...], ...]
 
-    def all_resolved(self) -> bool:
-        return all(len(g) == 1 for g in self.groups)
-
     def verdict(self, i: int, j: int) -> OrderVerdict:
         return compare_at_alpha(self.family[i], self.family[j], self.alpha, self.d_used)
-
-    def verdict_matrix(self) -> dict[tuple[int, int], str]:
-        n = len(self.family)
-        return {
-            (i, j): self.verdict(i, j).relation
-            for i in range(n)
-            for j in range(n)
-            if i != j
-        }
 
 
 def sort_family(
@@ -194,26 +204,9 @@ def sort_family(
         return RankedFamily((), alpha, 0, ())
     for h in members[1:]:
         _validate_pair(members[0], h)
-    groups: list[list[int]] = [list(range(len(members)))]
-    p, q = alpha.numerator, alpha.denominator
-    d_used = 0
-    for d in range(d_max + 1):
-        d_used = d
-        refined: list[list[int]] = []
-        for g in groups:
-            if len(g) == 1:
-                refined.append(g)
-                continue
-            buckets: dict[int, list[int]] = {}
-            for i in g:
-                value = trace(members[i], d).scaled_value(p, q, d)
-                buckets.setdefault(value, []).append(i)
-            for value in sorted(buckets):
-                refined.append(buckets[value])
-        groups = refined
-        if all(len(g) == 1 for g in groups):
-            break
-    return RankedFamily(members, alpha, d_used, tuple(tuple(g) for g in groups))
+    for d_used, groups in _refine(members, alpha, range(d_max + 1)):
+        pass
+    return RankedFamily(members, alpha, d_used, tuple(groups))
 
 
 # ---------------------------------------------------------------------------
@@ -428,9 +421,9 @@ def _side(position: str) -> tuple[bool, int]:
 
 
 def _instances(claim: Claim, k: int, m: int, max_edges: int):
-    """Yield ``(variant, family, designated, member)`` for each variant of
-    a position claim; ``member`` is the designated hypergraph's index in
-    ``family`` or None."""
+    """Yield ``(variant, family, member)`` for each variant of a position
+    claim; ``member`` is the designated hypergraph's index in ``family``
+    or None."""
     variants = {"girth": range(3, m + 1), "diameter": range(2, m + 1)}.get(claim.variants, (None,))
     for v in variants:
         filt = FamilyFilter(
@@ -446,7 +439,7 @@ def _instances(claim: Claim, k: int, m: int, max_edges: int):
         # the family is sorted by canonical key, one member per key
         i = bisect_left(family, key, key=canonical_form)
         member = i if i < len(family) and canonical_form(family[i]) == key else None
-        yield v, family, designated, member
+        yield v, family, member
 
 
 def _positions(groups: Sequence[Sequence[int]], member: int, position: str):
@@ -469,27 +462,32 @@ def _positions(groups: Sequence[Sequence[int]], member: int, position: str):
     return VIOLATED, f"position {position} is held by member {occupant}, not the designated hypergraph"
 
 
-def _value_check(label: str, values: list[Fraction], member: int | None, position: str) -> CheckResult:
-    """Whether ``values[member]`` is the extreme value (rank 0) or the next
-    distinct one (rank 1) on the side the position names."""
+def _value_check(
+    label: str, family: Sequence[Hypergraph], member: int | None, position: str, alpha: Fraction, d: int
+) -> CheckResult:
+    """Whether the member's order-d moment at alpha is the extreme value
+    (rank 0) or the next distinct one (rank 1) on the side the position
+    names.  The family is bucketed once on the integer keys; only the
+    printed values are evaluated as Fractions."""
     if member is None:
         return CheckResult(label, VIOLATED, "designated hypergraph missing from the family")
     ascending, rank = _side(position)
-    distinct = sorted(set(values), reverse=not ascending)
+    _, groups = next(_refine(family, alpha, (d,)))
+    distinct = groups if ascending else groups[::-1]
     if len(distinct) <= rank:
         return CheckResult(label, VIOLATED, f"family has only {len(distinct)} distinct values")
-    wanted = distinct[rank]
-    got = values[member]
-    if got == wanted:
+    wanted = trace(family[distinct[rank][0]], d).evaluate(alpha)
+    if member in distinct[rank]:
         return CheckResult(
             label, HOLDS, f"designated hypergraph attains the claimed value {wanted}"
         )
-    if rank == 1 and got == distinct[0]:
+    if rank == 1 and member in distinct[0]:
         return CheckResult(
             label,
             DEGENERATE,
             "designated hypergraph attains the extreme value itself; the claim is vacuous at this size",
         )
+    got = trace(family[member], d).evaluate(alpha)
     return CheckResult(label, VIOLATED, f"value {got} differs from the claimed {wanted}")
 
 
@@ -501,12 +499,13 @@ def verify_theorem(
     d_max: int | None = None,
     max_edges: int = DEFAULT_MAX_EDGES,
 ) -> VerificationReport:
-    """Verify one cataloged claim by exhaustive enumeration and sorting.
+    """Verify one cataloged claim by exhaustive enumeration.
 
-    The order budget of a position claim starts at 2k+2 (or ``d_max``)
-    and is extended up to k*m + 2 whenever a tie blocks the claimed
-    position.  A moment claim reads one order per row and reports the
-    largest of them as ``d_used``.
+    A position claim refines its family once, order by order.  Its order
+    budget starts at 2k+2 (or ``d_max``) and the same refinement is
+    extended, up to k*m + 2, while a tie blocks the claimed position.  A
+    moment claim reads one order per row and reports the largest of them
+    as ``d_used``.
     """
     if claim_id not in CLAIMS:
         raise OrderingError(f"unknown claim id {claim_id!r}; known: {sorted(CLAIMS)}")
@@ -530,30 +529,26 @@ def verify_theorem(
             ascending, rank = _side(pos.position)
             side = ("second " if rank else "") + ("smallest" if ascending else "largest")
             head = f"{side} order-{'(k+2)' if c else '2'} moment"
-            for v, family, _, member in _instances(pos, k, m, max_edges):
+            for v, family, member in _instances(pos, k, m, max_edges):
                 label = head if v is None else f"{head} at {pos.variants} {v}"
-                values = [trace(h, c * k + 2).evaluate(alpha) for h in family]
-                checks.append(_value_check(label, values, member, pos.position))
+                checks.append(_value_check(label, family, member, pos.position, alpha, c * k + 2))
         return VerificationReport(claim_id, claim.description, k, m, alpha, d_used, tuple(checks))
 
     d_used = d_base
     ascending, rank = _side(claim.position)
-    for v, family, designated, member in _instances(claim, k, m, max_edges):
+    for v, family, member in _instances(claim, k, m, max_edges):
         label = claim.position if v is None else f"{claim.position} (variant {v})"
         if member is None:
             checks.append(
                 CheckResult(label, VIOLATED, "designated hypergraph missing from the enumerated family")
             )
             continue
-        d_try = d_base
-        while True:
-            ranked = sort_family(family, alpha, d_try)
-            status, detail = _positions(ranked.groups, member, claim.position)
-            if status != UNDECIDED or d_try >= d_cap:
+        for d_family, groups in _refine(family, alpha, range(d_cap + 1)):
+            status, detail = _positions(groups, member, claim.position)
+            if d_family >= d_base and status != UNDECIDED:
                 break
-            d_try = min(d_cap, d_try + 1)
-        d_used = max(d_used, ranked.d_used)
-        extreme = ranked.groups[0 if ascending else -1]
+        d_used = max(d_used, d_family)
+        extreme = groups[0 if ascending else -1]
         if status != HOLDS and rank == 1 and extreme == (member,):
             # a degenerate instance: the designated graph coincides with the
             # strict extreme, so the runner-up position cannot be its
@@ -564,12 +559,12 @@ def verify_theorem(
             )
         evidence = {
             "family_size": len(family),
-            "groups": [list(g) for g in ranked.groups],
+            "groups": [list(g) for g in groups],
             "designated_member": member,
-            "d_used": ranked.d_used,
+            "d_used": d_family,
             "designated_traces": [
-                {"d": d, "poly": trace(designated, d).to_json()}
-                for d in range(ranked.d_used + 1)
+                {"d": d, "poly": trace(family[member], d).to_json()}
+                for d in range(d_family + 1)
             ],
         }
         checks.append(CheckResult(label, status, detail, evidence))

@@ -106,9 +106,18 @@ def test_compare_bad_operand(capsys):
         (None, ("trace", "--family", "hyperpath", "--k", "3", "--m", "2", "--d", "-2"),
          "--d must be >= 0"),
         (None, ("enumerate", "--class", "hypertree", "--k", "3", "--m", "-1"), "m must be >= 0"),
+        # a parameter the family does not take is rejected, not ignored
+        (None, ("compare", "cg-odot-s:k=3,g=3,m=5,gg=4", "hypercycle:k=3,m=5", "--alpha", "1/2"),
+         "does not take params ['gg']"),
+        (None, ("trace", "--family", "hyperpath", "--k", "3", "--m", "2", "--g", "7", "--arms", "1-1",
+                "--n1", "4", "--d", "1"), "does not take params ['arms', 'g', 'n1']"),
+        # and so is a key set twice, instead of keeping its last value
+        (None, ("compare", "hyperpath:k=3,m=2,k=4", "hyperstar:k=4,m=2", "--alpha", "1/2"),
+         "sets k more than once"),
     ],
     ids=["budget-env", "family-string", "arms", "json-file", "fractional-json", "k5-verify",
-         "k5-sort", "compare-d-max", "sort-d-max", "verify-d-max", "trace-d", "enumerate-m"],
+         "k5-sort", "compare-d-max", "sort-d-max", "verify-d-max", "trace-d", "enumerate-m",
+         "family-string-extra", "family-flags-extra", "family-string-repeat"],
 )
 def test_bad_outside_input_exits_2(budget_env, argv, bad, tmp_path, monkeypatch, capsys):
     broken = tmp_path / "broken.json"
@@ -293,18 +302,66 @@ VERIFY_GOLDEN = {
 }
 
 
-def test_verify_golden_bytes(capsys):
+# The same digests under `--d-max 2`, where a tie at the claimed position
+# extends the order budget one order at a time: at (3, 5) claim 5.7 is
+# decided at d_used 8, at (4, 5) at d_used 10; the other position claims
+# stop at the first order (>= 2) that settles their end of the ranking.
+VERIFY_EXTENSION_GOLDEN = {
+    (3, 5): {
+        "5.1": (0, "0df3b47df2a8687849c1f5c00041f205a75b76bd703a1eaf757ff1c816e4a56c"),
+        "5.2": (0, "318adb7627198b8cbe08fff7a3b9d18f0038e22278b412e9ec248253bb13a959"),
+        "5.3": (0, "349d1a9b99360660e2ed96abd7676f701741962395ded00b787982fed48f8074"),
+        "5.5": (0, "d994a2329daea677871e751cd145730b9847e189f5a1a4b889ec63bf8143eacd"),
+        "5.6": (0, "d7df5b9e070e73257d0ac8d4e45be30734dbd73bdc1644bd439a2abda2b7c5e5"),
+        "5.7": (0, "59ba8aed70a7ddf7b796a92eb7030480cb0096da857cde1bc850e1d8d15578d5"),
+        "6.2": (0, "08f895b3f314acb5c48247a02a8e6061552191199f06730b18dad5472b5efc9b"),
+        "6.3": (0, "4a32f20a2c065cd32a4efa33a69467ccb8b36889b28a07835f419b1c406da136"),
+        "6.4": (0, "f44940aae79fc911a2e61cc165a56ad0572345ffa711bc42292431fffe9ad1b0"),
+        "6.5": (0, "338826d53fa6f5ebe3d3edd56fd22d1621ab221b3af9401d9070b79f88959ed8"),
+        "6.6": (0, "13fd606a0aee5c0a17af2adc943bd05330b5b2632290acfa02e514cecf0b03d6"),
+        "7.1": (0, "6147392fbb6c3ee536f193e7651209ebaeaf233b3d8eebc0502ec2bf55d16045"),
+        "7.2": (0, "96b40de4d490e93caf7403cb47cd1a0596a518da51e0ce1ac81c0f46c9ba84b6"),
+        "7.3": (0, "dcd0422fa60b773015e1c576568952729955f5edac2e48cd5a6796057494c35f"),
+    },
+    (4, 5): {
+        "5.1": (0, "3c9f137737c4219eeb29ab2759da46a6dc792437980bce2ff4420961c76f6b55"),
+        "5.2": (0, "9cff1558ae30396c01ac86662002128624f2c501a942e6adaf1a8e0a8c976e54"),
+        "5.3": (0, "55d56fcd691b0c9162193da003c62c076836eec2f0dfbb2e084eb31c4bfe4c22"),
+        "5.5": (0, "1a0a6749e264562f98cac7404e304881191175af4aa374a9b19de73c8ee6149d"),
+        "5.6": (0, "0da8e9b3f428b735879bc43063fca3f8ce6468eb605f4c355451384798929cd8"),
+        "5.7": (0, "4e7ff0ae68bc31c56a6c22e1a73e8f086f4c7f2592716ccb362fe54d8522c370"),
+        "6.2": (0, "f351629781c498898af6b9be0e0facd16e9704f2abcebb8a46f831771223ca6a"),
+        "6.3": (0, "d70df1881b0dfae6168a6d3113503bab9ef40aace487d981deabc25d9f6b11c4"),
+        "6.4": (0, "983a4c2a8c6a65251fd8aa852e08bad7575d79afa661f707749e4236fed5db36"),
+        "6.5": (0, "34aa80d457c42a3e5050088162b0874a39a6a0770d35819649c95b2a33b7b7ec"),
+        "6.6": (0, "08e79b751be767d129675996f35c3e9fd7482e96b32f4c4009c06cbce2917add"),
+        "7.1": (0, "c79d67fd03307ce9be65e7a60554936c3f92521bbe3f59a99a79af5947c1ccdd"),
+        "7.2": (0, "3add1042b2135482779d9e94527d119867d98510869c408f58fe14d11e7b774c"),
+        "7.3": (0, "83d27371571c114ea3cbe0a394794d4269d1380ad56ba4b60b1beae4a4f7ce81"),
+    },
+}
+
+
+def _check_verify_digests(capsys, golden, *extra):
     from alphatrace.ordering import list_claims
 
-    for (k, m), digests in VERIFY_GOLDEN.items():
+    for (k, m), digests in golden.items():
         assert sorted(digests) == sorted(cid for cid, _ in list_claims())
         for cid, (want_code, want_digest) in digests.items():
             code, out, _ = run(
                 capsys, "verify", "--theorem", cid, "--k", str(k), "--m", str(m),
-                "--alpha", "1/2", "--format", "json",
+                "--alpha", "1/2", *extra, "--format", "json",
             )
             got = (code, hashlib.sha256(out.encode()).hexdigest())
             assert got == (want_code, want_digest), (cid, k, m)
+
+
+def test_verify_golden_bytes(capsys):
+    _check_verify_digests(capsys, VERIFY_GOLDEN)
+
+
+def test_verify_budget_extension_bytes(capsys):
+    _check_verify_digests(capsys, VERIFY_EXTENSION_GOLDEN, "--d-max", "2")
 
 
 def test_csv_rows_of_trace_and_sort(capsys):
