@@ -62,6 +62,9 @@ EQUAL_UP_TO = "equal-up-to"
 LESS_ON_UNIT = "less-on-(0,1)"
 GREATER_ON_UNIT = "greater-on-(0,1)"
 SIGN_CHANGES = "sign-changes"
+# the first difference only touches zero, at the witnesses
+LESS_OR_EQUAL_ON_UNIT = "less-or-equal-on-(0,1)"
+GREATER_OR_EQUAL_ON_UNIT = "greater-or-equal-on-(0,1)"
 
 
 @dataclass(frozen=True, slots=True)
@@ -159,8 +162,21 @@ def compare_at_alpha(
     return OrderVerdict(EQUAL_UP_TO, None, d_max)
 
 
+_SIGN_RELATIONS = {
+    "negative": LESS_ON_UNIT,
+    "positive": GREATER_ON_UNIT,
+    "nonpositive": LESS_OR_EQUAL_ON_UNIT,
+    "nonnegative": GREATER_OR_EQUAL_ON_UNIT,
+    "mixed": SIGN_CHANGES,
+}
+
+
 def compare_symbolic(h1: Hypergraph, h2: Hypergraph, d_max: int) -> SymbolicVerdict:
-    """Decide the sign of the first differing moment on all of (0, 1)."""
+    """Decide the sign of the first differing moment on all of (0, 1).
+
+    A difference that only touches zero gives a less- or greater-or-equal
+    relation whose witnesses isolate the touch points; one that changes
+    sign gives ``sign-changes``, witnesses isolating all interior roots."""
     _validate_pair(h1, h2)
     _validate_d_max(d_max)
     for d in range(d_max + 1):
@@ -168,11 +184,7 @@ def compare_symbolic(h1: Hypergraph, h2: Hypergraph, d_max: int) -> SymbolicVerd
         if diff.is_zero():
             continue
         sign, witnesses = sign_on_open_unit(diff)
-        if sign == "negative":
-            return SymbolicVerdict(LESS_ON_UNIT, d, d_max)
-        if sign == "positive":
-            return SymbolicVerdict(GREATER_ON_UNIT, d, d_max)
-        return SymbolicVerdict(SIGN_CHANGES, d, d_max, tuple(witnesses))
+        return SymbolicVerdict(_SIGN_RELATIONS[sign], d, d_max, tuple(witnesses))
     return SymbolicVerdict(EQUAL_UP_TO, None, d_max)
 
 

@@ -208,6 +208,32 @@ def _pseudo_remainder(a: AlphaPoly, b: AlphaPoly) -> AlphaPoly:
     return AlphaPoly(rem[:d])
 
 
+def _gcd(a: AlphaPoly, b: AlphaPoly) -> AlphaPoly:
+    """A greatest common divisor of a and b (a nonzero), primitive."""
+    while not b.is_zero():
+        a, b = b, _primitive(_pseudo_remainder(a, b))
+    return _primitive(a)
+
+
+def _odd_part(p: AlphaPoly) -> AlphaPoly:
+    """The product of p's square-free factors of odd multiplicity, by Yun's
+    algorithm: p changes sign exactly at the real roots of this product.
+    b and c are always divided by the same polynomial, so c - b' stays
+    exact whatever scalar multiple each gcd comes out as."""
+    b, c = p, p.derivative()
+    g = _gcd(b, c)
+    b, c = b.divmod(g)[0], c.divmod(g)[0]
+    out, multiplicity = AlphaPoly.constant(1), 1
+    while b.degree > 0:
+        c = c - b.derivative()
+        a = _gcd(b, c)  # the factor of roots with exactly this multiplicity
+        if multiplicity % 2:
+            out = out * a
+        b, c = b.divmod(a)[0], c.divmod(a)[0]
+        multiplicity += 1
+    return out
+
+
 def _sturm_chain(p: AlphaPoly) -> list[AlphaPoly]:
     """p, p', then negated primitive pseudo-remainders: each member is a
     positive multiple of the classical Sturm chain's, so every count of
@@ -295,11 +321,17 @@ def sign_on_open_unit(p: AlphaPoly) -> tuple[str, list[tuple[Fraction, Fraction]
     """Decide the sign of p on all of (0, 1) exactly.
 
     Returns ("positive", []) or ("negative", []) when the sign is constant
-    and strict, else ("mixed", witness intervals isolating the interior
-    roots).
+    and strict; ("nonnegative", touch points) or ("nonpositive", touch
+    points) when every interior root has even multiplicity, so p only
+    touches zero there; else ("mixed", witness intervals isolating all the
+    interior roots).  Points come as ``isolate_roots_open_unit`` gives them.
     """
     if p.is_zero():
         raise ValueError("zero polynomial has no sign")
     if count_roots_open_unit(p) == 0:
         return ("positive" if p.scaled_value(1, 2) > 0 else "negative"), []
-    return "mixed", isolate_roots_open_unit(p)
+    if count_roots_open_unit(_odd_part(p)):
+        return "mixed", isolate_roots_open_unit(p)
+    # p has at most deg p roots, so one of 1/2, 1/3, ... misses them all
+    value = next(v for v in (p.scaled_value(1, j) for j in range(2, p.degree + 3)) if v)
+    return ("nonnegative" if value > 0 else "nonpositive"), isolate_roots_open_unit(p)

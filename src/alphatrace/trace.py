@@ -37,16 +37,41 @@ Two independent evaluation routes are implemented:
   symmetric polynomial h_t of that multiset (from sum_j (r+j-1)!
   (x y)^j / j! = (r-1)! (1 - x y)^{-r}, x a host degree), so order d
   needs one h_{d-e} per multiset and one exact integer division per
-  entry of the moment table.  The infragraphs with e rows come from a
-  walk over the edges in order that fixes one multiplicity per edge:
-  an edge that is the last one at some vertex may only take
-  multiplicities that make that vertex's degree a multiple of k, so
-  the walk steps through one residue class mod k, and it ends a branch
-  as soon as the e rows are spent.  This is the production path; it is
-  cheap on trees and unicyclic inputs but grows quickly with order on
-  dense ones.  Each walk is capped at ``MAX_WALK_NODES`` partial
-  assignments and raises ``BudgetExceeded`` with (k, n, m, e, nodes,
-  infragraphs so far) past it.
+  entry of the moment table.  No infragraph has fewer than k rows,
+  since each of its vertices meets a positive multiple of k of them.
+  This is the production path; it is cheap on trees and unicyclic
+  inputs but grows quickly with order on dense ones.
+
+Where the infragraphs with e rows come from depends on the host.  Call
+a host *peelable* when its edges can be deleted one at a time, each
+through a vertex that lies in no other remaining edge.  Hypertrees
+and hyperforests are peelable, and so is a unicyclic host in which
+each cycle edge has a vertex in no other cycle edge (every linear one
+with k >= 3); a k = 2 cycle and a complete graph are not.
+
+Lemma.  In a peelable host, every sub-multigraph F whose vertex degrees
+are all multiples of k has every edge multiplicity a multiple of k.
+
+Proof.  By induction on the number of edges in F's support.  Take the
+support edge f that the peel deletes first.  When f is deleted, all
+other support edges still remain, so f has a vertex v that no other
+support edge contains.  Then deg_F(v) = mu_F(f), so k divides mu_F(f).
+Removing f's rows from F lowers each vertex degree by mu_F(f) or 0,
+leaving every degree a multiple of k on a smaller support.  []
+
+Conversely, any connected edge set S with multiplicities k * c_j, c_j
+>= 1, is an infragraph.  So a peelable host's infragraphs with e rows
+are its connected edge sets S with |S| <= e/k, each with k times every
+composition of e/k into |S| positive parts, and there are none unless k
+divides e (``_peeled_vectors``; ``structural_components`` asks only for
+those e).  Every other host gets a walk over the edges in order that
+fixes one multiplicity per edge (``_veblen_vectors``): an edge that is
+the last one at some vertex may only take multiplicities that make
+that vertex's degree a multiple of k, so the walk steps through one
+residue class mod k, and it ends a branch as soon as the e rows are
+spent.  Either source is capped at ``MAX_WALK_NODES`` nodes per (host,
+e) and raises ``BudgetExceeded`` with (k, n, m, e, nodes, infragraphs
+so far) past it.
 
 Both routes produce a table indexed by (diagonal rows, edge rows) and
 build the moment polynomial from it (the structural one in integers);
@@ -249,6 +274,89 @@ def trace_decomposed(h: Hypergraph, d: int) -> tuple[AlphaPoly, AlphaPoly, Alpha
 # Connected k-valent infragraphs and the structural route
 # ---------------------------------------------------------------------------
 
+def _walk_budget(h: Hypergraph, total: int, nodes: int, found: int) -> BudgetExceeded:
+    """The error either infragraph source raises past ``MAX_WALK_NODES``."""
+    return BudgetExceeded(
+        f"infragraph walk of a {h.k}-graph with n={h.n}, m={h.m} at e={total} "
+        f"edge rows passed {MAX_WALK_NODES} nodes; infragraphs found so far: {found}",
+        {"k": h.k, "n": h.n, "m": h.m, "e": total, "nodes": nodes, "infragraphs": found},
+    )
+
+
+def _peelable(h: Hypergraph) -> bool:
+    """Whether h's edges can be deleted one at a time, each through a vertex
+    that lies in no other remaining edge.
+
+    One queue pass: a vertex in exactly one remaining edge names that edge
+    as the XOR of its remaining edges' indices, and stays in it alone
+    until the edge goes, so the order of deletion does not matter.
+    """
+    count = [0] * h.n
+    xor = [0] * h.n
+    for i, e in enumerate(h.edges):
+        for v in e:
+            count[v] += 1
+            xor[v] ^= i
+    queue = [xor[v] for v in range(h.n) if count[v] == 1]
+    gone = [False] * h.m
+    for i in queue:
+        if gone[i]:
+            continue
+        gone[i] = True
+        for v in h.edges[i]:
+            count[v] -= 1
+            xor[v] ^= i
+            if count[v] == 1:
+                queue.append(xor[v])
+    return all(gone)
+
+
+def _peeled_vectors(h: Hypergraph, total: int):
+    """Yield (edge_indices, multiplicities) of every connected k-valent
+    infragraph of a peelable host with total multiplicity exactly ``total``.
+
+    By the lemma in the module docstring these are the connected edge sets
+    S with |S| <= total/k, each with k times every composition of total/k
+    into |S| positive parts; there are none unless k divides total.  The
+    sets grow by ESU (Wernicke 2006) on the graph of edges that share a
+    vertex: a set rooted at its least edge r only takes neighbours above r
+    that no earlier member or its neighbours reached, so each connected
+    set comes out once.  Every set and every composition counts against
+    ``MAX_WALK_NODES``.  Edge indices are in growth order, not sorted.
+    """
+    k = h.k
+    q, r = divmod(total, k)
+    if r or q < 1:
+        return
+    at: list[list[int]] = [[] for _ in range(h.n)]
+    for i, e in enumerate(h.edges):
+        for v in e:
+            at[v].append(i)
+    nbrs = [{j for v in e for j in at[v]} - {i} for i, e in enumerate(h.edges)]
+    # parts[s]: k times each composition of q into s positive parts
+    parts = [[]] + [
+        [tuple(k * (b - a) for a, b in zip((0, *cuts), (*cuts, q)))
+         for cuts in combinations(range(1, q), s - 1)]
+        for s in range(1, q + 1)
+    ]
+    nodes = found = 0
+    for root in range(h.m):
+        stack = [((root,), [j for j in nbrs[root] if j > root], nbrs[root] | {root})]
+        while stack:
+            support, ext, reached = stack.pop()
+            mus = parts[len(support)]
+            nodes += 1 + len(mus)
+            if nodes > MAX_WALK_NODES:
+                raise _walk_budget(h, total, nodes, found)
+            for mu in mus:
+                yield support, mu
+            found += len(mus)
+            if len(support) < q:
+                for x, w in enumerate(ext):
+                    new = [u for u in nbrs[w] if u > root and u not in reached]
+                    stack.append((support + (w,), ext[x + 1:] + new, reached | nbrs[w]))
+
+
 def _veblen_vectors(
     h: Hypergraph, total: int
 ) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
@@ -283,13 +391,7 @@ def _veblen_vectors(
         nonlocal nodes
         nodes += 1
         if nodes > MAX_WALK_NODES:
-            raise BudgetExceeded(
-                f"infragraph walk of a {k}-graph with n={h.n}, m={m} at e={total} "
-                f"edge rows passed {MAX_WALK_NODES} nodes; "
-                f"infragraphs found so far: {len(found)}",
-                {"k": k, "n": h.n, "m": m, "e": total, "nodes": nodes,
-                 "infragraphs": len(found)},
-            )
+            raise _walk_budget(h, total, nodes, len(found))
         if budget == 0:
             if all(deg[v] % k == 0 for v in open_from[i]):
                 support = [j for j in range(i) if mu[j]]
@@ -424,7 +526,7 @@ def _infragraph_table(h: Hypergraph, e: int) -> tuple[tuple[tuple[int, ...], int
     k = h.k
     deg = h.degrees()
     table: dict[tuple[int, ...], int] = defaultdict(int)
-    for support, mu in _veblen_vectors(h, e):
+    for support, mu in (_peeled_vectors if _peelable(h) else _veblen_vectors)(h, e):
         shape, deg_f = _infragraph_shape(h, support, mu)
         w = _rooted_tree_weight(shape)
         if not w:
@@ -455,11 +557,14 @@ def structural_components(h: Hypergraph, d: int) -> dict[tuple[int, int], int]:
     by (rho_v + j - 1)! deg(v)^j / j!, so all placements together weigh F
     by prod_v (rho_v - 1)! times h_t of F's degree multiset.  Entry
     (d - e, e) is therefore d / e! times the sum of C * h_{d-e}(degrees)
-    over ``_infragraph_table(h, e)``.  The division is exact on every
-    input checked; a remainder raises ``ArithmeticError``, never rounds.
+    over ``_infragraph_table(h, e)``, for e from k, in steps of k on a
+    peelable host.  The division is exact on every input checked; a
+    remainder raises ``ArithmeticError``, never rounds.
     """
     comp = {(d, 0): degree_moment(h, d)}
-    for e in range(1, d + 1):
+    if d < h.k:
+        return comp  # a vertex of an infragraph meets at least k of its rows
+    for e in range(h.k, d + 1, h.k if _peelable(h) else 1):
         table = _infragraph_table(h, e)
         if table:
             total = sum(c * _complete_homogeneous(degs, d - e) for degs, c in table)

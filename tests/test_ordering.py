@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+import alphatrace.ordering as ordering_module
 from alphatrace import (
     OrderingError,
     compare_at_alpha,
@@ -21,10 +22,14 @@ from alphatrace.ordering import (
     EQUAL_UP_TO,
     GREATER,
     GREATER_ON_UNIT,
+    GREATER_OR_EQUAL_ON_UNIT,
     LESS,
     LESS_ON_UNIT,
+    LESS_OR_EQUAL_ON_UNIT,
+    SIGN_CHANGES,
     list_claims,
 )
+from alphatrace.polynomial import AlphaPoly
 from conftest import fractions_calls
 from reference import sort_family_reference
 
@@ -84,6 +89,31 @@ def test_symbolic_verdicts():
     assert v2.relation == GREATER_ON_UNIT
     v3 = compare_symbolic(hyperpath(3, 3), hyperpath(3, 3), 4)
     assert v3.relation == EQUAL_UP_TO
+
+
+def test_symbolic_touching_difference(monkeypatch):
+    # stand-in moments: only order 2 differs, by ``diff``; a root alone in
+    # (0, 1) is isolated by the whole interval
+    half = AlphaPoly((Fraction(-1, 2), 1))
+    a, b = hyperpath(3, 3), hyperstar(3, 3)
+    unit = ((Fraction(0), Fraction(1)),)
+    cases = [
+        (half**2, GREATER_OR_EQUAL_ON_UNIT, unit),
+        (half**2 * -5, LESS_OR_EQUAL_ON_UNIT, unit),
+        (half**3, SIGN_CHANGES, unit),
+        (half**2 + 1, GREATER_ON_UNIT, ()),
+    ]
+    for diff, relation, witnesses in cases:
+        fake = {a: [AlphaPoly.zero()] * 2 + [diff], b: [AlphaPoly.zero()] * 3}
+        monkeypatch.setattr(ordering_module, "trace", lambda h, d: fake[h][d])
+        v = compare_symbolic(a, b, 2)
+        assert (v.relation, v.first_diff_order, v.witnesses) == (relation, 2, witnesses)
+    assert v.to_json_dict()["witnesses"] == []
+    monkeypatch.setattr(ordering_module, "trace", lambda h, d: fake[h][d] if h is a else half**2)
+    assert compare_symbolic(a, b, 0).to_json_dict() == {
+        "relation": LESS_OR_EQUAL_ON_UNIT, "first_diff_order": 0, "d_max": 0,
+        "witnesses": [["0", "1"]],
+    }
 
 
 def test_symbolic_cycle_star_vs_split():

@@ -95,14 +95,15 @@ def test_isolation_keeps_roots_beside_a_midpoint_root():
 
 def _root_products():
     """Products of rational linear factors with multiplicities 1..3, roots at
-    0, 1, outside [0, 1] and at dyadic midpoints, as (roots, polynomial)."""
+    0, 1, outside [0, 1] and at dyadic midpoints, as (multiplicity by root,
+    polynomial)."""
     pool = [Fraction(x) for x in ("0", "1", "1/2", "1/4", "3/4", "1/8", "5/8", "1/3",
                                   "2/3", "2/5", "7/9", "3/2", "-1/2", "5/16")]
     rng = random.Random(2)
     for _ in range(150):
-        chosen = rng.sample(pool, rng.randint(1, 5))
-        p = _from_roots(*(r for r in chosen for _ in range(rng.randint(1, 3))))
-        yield chosen, p * rng.choice([1, -2, Fraction(3, 5)])
+        roots = {r: rng.randint(1, 3) for r in rng.sample(pool, rng.randint(1, 5))}
+        p = _from_roots(*(r for r, mult in roots.items() for _ in range(mult)))
+        yield roots, p * rng.choice([1, -2, Fraction(3, 5)])
 
 
 def test_isolation_of_multiple_and_dyadic_roots():
@@ -114,6 +115,30 @@ def test_isolation_of_multiple_and_dyadic_roots():
         for (lo, hi), r in zip(intervals, inner):
             assert lo == hi == r or lo < r < hi, (chosen, intervals)
             assert lo == hi or not any(lo < s < hi for s in inner if s != r)
+
+
+def test_sign_changes_iff_an_interior_root_has_odd_multiplicity():
+    half = AlphaPoly((Fraction(-1, 2), 1))
+    assert sign_on_open_unit(half**2) == ("nonnegative", [(0, 1)])
+    assert sign_on_open_unit(half**3) == ("mixed", [(0, 1)])
+    assert sign_on_open_unit(half**2 * -3) == ("nonpositive", [(0, 1)])
+    seen = set()
+    for roots, p in _root_products():
+        inner = sorted(r for r in roots if 0 < r < 1)
+        crossing = any(roots[r] % 2 for r in inner)
+        sign, witnesses = sign_on_open_unit(p)
+        seen.add(sign)
+        # 1/1000 is no root, and below every interior root of the pool
+        off_root = p.evaluate(Fraction(1, 1000))
+        if crossing:
+            assert sign == "mixed", roots
+        elif inner:
+            assert sign == ("nonnegative" if off_root > 0 else "nonpositive"), roots
+        else:
+            assert (sign, witnesses) == ("positive" if off_root > 0 else "negative", []), roots
+        if inner:
+            assert witnesses == isolate_roots_open_unit(p), roots
+    assert seen == {"positive", "negative", "nonnegative", "nonpositive", "mixed"}
 
 
 def test_sign_ignores_endpoint_roots():

@@ -5,6 +5,7 @@ from itertools import combinations
 
 import pytest
 
+from alphatrace import cli
 from alphatrace import (
     BudgetExceeded,
     UnsupportedError,
@@ -31,6 +32,8 @@ from alphatrace.polynomial import AlphaPoly, basis_term
 from alphatrace.trace import (
     _infragraph_shape,
     _infragraph_table,
+    _peelable,
+    _peeled_vectors,
     _rooted_tree_weight,
     _structural_components_cached,
     _veblen_vectors,
@@ -374,12 +377,13 @@ def test_moments_are_integer_polynomials():
 
 
 def test_inexact_table_entry_raises(monkeypatch):
-    # entry (d - e, e) is d * sum C h_{d-e} / e!; a remainder must raise, not round
+    # entry (d - e, e) is d * sum C h_{d-e} / e!; a remainder must raise, not round.
+    # The host is peelable, so e = 3 is the one table these orders ask for.
     h = hyperpath(3, 2)
     monkeypatch.setattr(trace_module, "_infragraph_table", lambda h, e: (((1, 1, 1), 1),))
-    assert structural_components(h, 1) == {(1, 0): degree_moment(h, 1), (0, 1): 1}
+    assert structural_components(h, 4) == {(4, 0): degree_moment(h, 4), (1, 3): 2}
     with pytest.raises(ArithmeticError):
-        structural_components(h, 3)  # e = 2: 3 * h_1(1, 1, 1) / 2! = 9/2
+        structural_components(h, 3)  # e = 3: 3 * h_0(1, 1, 1) / 3! = 1/2
 
 
 def test_cold_moments_make_no_fraction():
@@ -387,3 +391,88 @@ def test_cold_moments_make_no_fraction():
     for cache in (_structural_components_cached, _infragraph_table, _rooted_tree_weight):
         cache.cache_clear()
     assert fractions_calls(lambda: [trace(h, d) for d in range(9)]) == 0
+
+
+def _by_edge(pairs):
+    """Sorted (support, mu) pairs, each support in ascending edge order."""
+    return sorted(tuple(zip(*sorted(zip(support, mu)))) for support, mu in pairs)
+
+
+def _random_peelable(rng, k, m):
+    """m edges, each with at least one vertex new to the host, so deleting
+    them last-first peels it; the rest come from earlier vertices."""
+    n, edges = 0, []
+    for _ in range(m):
+        old = rng.sample(range(n), min(rng.randint(0, k - 1), n))
+        fresh = k - len(old)
+        edges.append(tuple(sorted(old + list(range(n, n + fresh)))))
+        n += fresh
+    return hypergraph(k, n, edges)
+
+
+def test_peelable_table():
+    forest = hypergraph(3, 9, [(0, 1, 2), (2, 3, 4), (5, 6, 7), (6, 7, 8)])
+    cases = [
+        (hyperpath(3, 4), True),                                       # hypertree
+        (forest, True),                                                # hyperforest, non-linear
+        (cycle_with_pendant_star(3, 4, 6), True),                      # linear unicyclic
+        (hypergraph(3, 5, [(0, 1, 2), (0, 1, 3), (0, 1, 4)]), True),   # non-linear, shared pair
+        (hypercycle(2, 4), False),                                     # k = 2 cycle
+        (hypergraph(2, 6, list(combinations(range(6), 2))), False),    # K6
+        (hypergraph(3, 4, list(combinations(range(4), 3))), False),    # complete 3-graph on 4
+    ]
+    for h, peelable in cases:
+        assert _peelable(h) is peelable, h
+
+
+def test_peeled_infragraphs_match_walk_and_reference():
+    # the families at (2, 7), (3, 7) and (4, 6) through order 2k+4 against
+    # the walk (at k = 2 only the trees are peelable); a seeded sample of
+    # them, and random peelable hosts, against the literal reference too
+    rng = random.Random(13)
+    sampled = []
+    for k, m in ((2, 7), (3, 7), (4, 6)):
+        family = enumerate_hypertrees(k, m, m) + enumerate_linear_unicyclic(k, m, max_edges=m)
+        peelable = [h for h in family if _peelable(h)]
+        assert len(peelable) == (len(enumerate_hypertrees(k, m, m)) if k == 2 else len(family))
+        for h in peelable:
+            for e in range(1, 2 * k + 5):
+                assert _by_edge(_peeled_vectors(h, e)) == sorted(_veblen_vectors(h, e)), (h, e)
+        sampled += [(h, 2 * k + 4) for h in rng.sample(peelable, 3)]
+    sampled += [(_random_peelable(rng, rng.choice((2, 3, 4)), rng.randint(1, 6)), 8)
+                for _ in range(40)]
+    for h, max_e in sampled:
+        assert _peelable(h), h
+        for e in range(1, max_e + 1):
+            peeled = _by_edge(_peeled_vectors(h, e))
+            assert peeled == veblen_vectors_reference(h, e) == sorted(_veblen_vectors(h, e)), (h, e)
+
+
+def test_peeled_tables_equal_walked_tables(monkeypatch):
+    hosts = corpus(3, 5) + corpus(4, 4) + enumerate_hypertrees(2, 6)
+    peeled = [[structural_components(h, d) for d in range(2 * h.k + 5)] for h in hosts]
+    monkeypatch.setattr(trace_module, "_peelable", lambda h: False)
+    _infragraph_table.cache_clear()
+    walked = [[structural_components(h, d) for d in range(2 * h.k + 5)] for h in hosts]
+    _infragraph_table.cache_clear()
+    assert peeled == walked
+
+
+def test_peeled_budget(monkeypatch, capsys):
+    # hyperstar(3, 6) at order 9: the tables at e = 3 and 6 take 12 and 42
+    # nodes; e = 9 has 41 edge sets and 56 compositions, past a cap of 60
+    monkeypatch.setattr(trace_module, "MAX_WALK_NODES", 60)
+    _infragraph_table.cache_clear()
+    _structural_components_cached.cache_clear()
+    h = hyperstar(3, 6)
+    assert _peelable(h)
+    with pytest.raises(BudgetExceeded) as info:
+        trace(h, 9)
+    ctx = info.value.context
+    assert (ctx["k"], ctx["n"], ctx["m"], ctx["e"]) == (3, 13, 6, 9)
+    assert ctx["nodes"] > 60
+    assert 0 < ctx["infragraphs"] < len(veblen_vectors_reference(h, 9)) == 56
+    code = cli.main(["trace", "--family", "hyperstar", "--k", "3", "--m", "6", "--d", "9"])
+    out, err = capsys.readouterr()
+    assert (code, out) == (3, "")
+    assert "passed 60 nodes" in err and "infragraphs found so far" in err
