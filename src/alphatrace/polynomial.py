@@ -288,7 +288,7 @@ def isolate_roots_open_unit(p: AlphaPoly) -> list[tuple[Fraction, Fraction]]:
     if q.degree < 1:
         return []
     # isolate on q / gcd(q, q'): a multiple root would zero every chain member
-    q = q.divmod(_sturm_chain(q)[-1])[0]
+    q = q.divmod(_gcd(q, q.derivative()))[0]
     chain = _sturm_chain(q)
 
     def count(lo: Fraction, hi: Fraction) -> int:

@@ -322,7 +322,9 @@ def _peeled_vectors(h: Hypergraph, total: int):
     vertex: a set rooted at its least edge r only takes neighbours above r
     that no earlier member or its neighbours reached, so each connected
     set comes out once.  Every set and every composition counts against
-    ``MAX_WALK_NODES``.  Edge indices are in growth order, not sorted.
+    ``MAX_WALK_NODES``, a set's C(q-1, |S|-1) compositions before the
+    first of them is made; they are made one at a time, never stored.
+    Edge indices are in growth order, not sorted.
     """
     k = h.k
     q, r = divmod(total, k)
@@ -333,25 +335,19 @@ def _peeled_vectors(h: Hypergraph, total: int):
         for v in e:
             at[v].append(i)
     nbrs = [{j for v in e for j in at[v]} - {i} for i, e in enumerate(h.edges)]
-    # parts[s]: k times each composition of q into s positive parts
-    parts = [[]] + [
-        [tuple(k * (b - a) for a, b in zip((0, *cuts), (*cuts, q)))
-         for cuts in combinations(range(1, q), s - 1)]
-        for s in range(1, q + 1)
-    ]
     nodes = found = 0
     for root in range(h.m):
         stack = [((root,), [j for j in nbrs[root] if j > root], nbrs[root] | {root})]
         while stack:
             support, ext, reached = stack.pop()
-            mus = parts[len(support)]
-            nodes += 1 + len(mus)
+            s = len(support)
+            nodes += 1 + math.comb(q - 1, s - 1)
             if nodes > MAX_WALK_NODES:
                 raise _walk_budget(h, total, nodes, found)
-            for mu in mus:
-                yield support, mu
-            found += len(mus)
-            if len(support) < q:
+            for cuts in combinations(range(1, q), s - 1):
+                yield support, tuple(k * (b - a) for a, b in zip((0, *cuts), (*cuts, q)))
+            found += math.comb(q - 1, s - 1)
+            if s < q:
                 for x, w in enumerate(ext):
                     new = [u for u in nbrs[w] if u > root and u not in reached]
                     stack.append((support + (w,), ext[x + 1:] + new, reached | nbrs[w]))

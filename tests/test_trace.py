@@ -476,3 +476,21 @@ def test_peeled_budget(monkeypatch, capsys):
     out, err = capsys.readouterr()
     assert (code, out) == (3, "")
     assert "passed 60 nodes" in err and "infragraphs found so far" in err
+
+
+def test_peeled_high_order_stays_small(monkeypatch):
+    # q = e/k = 30 has 2^29 compositions in all, but a 2-edge path only
+    # ever needs those into 1 and 2 parts
+    h = hyperpath(2, 2)
+    peeled = _by_edge(_peeled_vectors(h, 60))
+    assert len(peeled) == 2 + 29
+    assert peeled == sorted(_veblen_vectors(h, 60))
+    # a 30-edge path at the same order: the cap is checked before a set's
+    # C(29, |S| - 1) compositions are made, so a low cap raises at once
+    monkeypatch.setattr(trace_module, "MAX_WALK_NODES", 1000)
+    h = hyperpath(2, 30)
+    with pytest.raises(BudgetExceeded) as info:
+        list(_peeled_vectors(h, 60))
+    ctx = info.value.context
+    assert (ctx["k"], ctx["m"], ctx["e"]) == (2, 30, 60)
+    assert 1000 < ctx["nodes"] and ctx["infragraphs"] <= 1000
