@@ -27,7 +27,8 @@ Two independent evaluation routes are implemented:
   cached per (hypergraph, edge-row count e), is an integer per degree
   multiset: each infragraph's rooting-weighted in-arborescence sum,
   filed under the host degrees of its vertices, vertex v listed
-  deg_F(v)/k times.  That rooting sum depends only on the infragraph's
+  deg_F(v)/k times.  That rooting sum W' has a closed form when F's
+  support is a hypertree (below); otherwise it depends only on F's
   shape (its rows on vertices renumbered by F-degree, incident-row
   signatures and host label), so it is cached per shape, in one cache
   shared by every hypergraph and every order of the process: K6 minus
@@ -72,6 +73,21 @@ residue class mod k, and it ends a branch as soon as the e rows are
 spent.  Either source is capped at ``MAX_WALK_NODES`` nodes per (host,
 e) and raises ``BudgetExceeded`` with (k, n, m, e, nodes, infragraphs
 so far) past it.
+
+Tree supports.  A connected support S is a hypertree exactly when
+|V(F)| = (k-1)|S| + 1.  Then mu_j = k c_j (the lemma; a hypertree is
+peelable), and W'(F) = prod_j (k c_j)!/(c_j!)^k * c_j^{k-1} * k^{k-2}.
+
+Proof.  Vertex v roots the sum of c_j over its edges j.  A leaf edge f
+of S has k-1 vertices in no other support edge; each roots c_f of f's
+rows, so its last vertex roots mu_f - (k-1) c_f = c_f, and the rest is a
+rooting of F minus f.  By induction each edge j is rooted c_j times at
+each of its vertices: one rooting, of weight prod_j (k c_j)!/(c_j!)^k.
+Its arc digraph is a tree of blocks, edge j giving the c_j-fold
+complete digraph on its vertices.  An in-arborescence is one in each
+block, rooted at the block's vertex nearest the root, and any such
+choice glues to one; a block is Eulerian, so its count, c_j^{k-1}
+k^{k-2} by Cayley, does not depend on that vertex.  []
 
 Both routes produce a table indexed by (diagonal rows, edge rows) and
 build the moment polynomial from it (the structural one in integers);
@@ -283,6 +299,7 @@ def _walk_budget(h: Hypergraph, total: int, nodes: int, found: int) -> BudgetExc
     )
 
 
+@lru_cache(maxsize=TRACE_CACHE_SIZE)
 def _peelable(h: Hypergraph) -> bool:
     """Whether h's edges can be deleted one at a time, each through a vertex
     that lies in no other remaining edge.
@@ -428,9 +445,9 @@ Shape = tuple[tuple[tuple[int, ...], int], ...]
 
 
 def _infragraph_shape(
-    h: Hypergraph, support: tuple[int, ...], mu: tuple[int, ...]
-) -> tuple[Shape, dict[int, int]]:
-    """The infragraph's edge rows on relabelled vertices, and deg_F by host vertex.
+    h: Hypergraph, support: tuple[int, ...], mu: tuple[int, ...], deg_f: dict[int, int]
+) -> Shape:
+    """The infragraph's edge rows on relabelled vertices, given deg_F by host vertex.
 
     Vertices are numbered 0..|V|-1 in order of deg_F(v), then of the sorted
     signatures (mu, sorted deg_F of its vertices) of their incident rows,
@@ -440,10 +457,6 @@ def _infragraph_shape(
     shapes.
     """
     edges = [h.edges[i] for i in support]
-    deg_f = dict.fromkeys([v for e in edges for v in e], 0)
-    for e, c in zip(edges, mu):
-        for v in e:
-            deg_f[v] += c
     incident: dict[int, list] = {v: [] for v in deg_f}
     for e, c in zip(edges, mu):
         signature = (c, sorted([deg_f[v] for v in e]))
@@ -452,7 +465,7 @@ def _infragraph_shape(
     keys = sorted([(deg_f[v], sorted(sigs), v) for v, sigs in incident.items()])
     label = {key[2]: i for i, key in enumerate(keys)}
     rows = [(tuple(sorted([label[v] for v in e])), c) for e, c in zip(edges, mu)]
-    return tuple(sorted(rows)), deg_f
+    return tuple(sorted(rows))
 
 
 @lru_cache(maxsize=TRACE_CACHE_SIZE)
@@ -508,6 +521,18 @@ def _rooted_tree_weight(shape: Shape) -> int:
     return total
 
 
+def _infragraph_weight(
+    h: Hypergraph, support: tuple[int, ...], mu: tuple[int, ...], deg_f: dict[int, int]
+) -> int:
+    """W' of an infragraph: in closed form when its support is a hypertree
+    (|V(F)| = (k-1)|S| + 1; see the module docstring), else by its shape."""
+    k = h.k
+    if len(deg_f) != (k - 1) * len(support) + 1:
+        return _rooted_tree_weight(_infragraph_shape(h, support, mu, deg_f))
+    return math.prod(math.factorial(c) // math.factorial(c // k) ** k * (c // k) ** (k - 1)
+                     * k ** (k - 2) for c in mu)
+
+
 @lru_cache(maxsize=TRACE_CACHE_SIZE)
 def _infragraph_table(h: Hypergraph, e: int) -> tuple[tuple[tuple[int, ...], int], ...]:
     """The order-free part of the structural sum over the infragraphs F
@@ -516,15 +541,18 @@ def _infragraph_table(h: Hypergraph, e: int) -> tuple[tuple[tuple[int, ...], int
     ``degrees`` is a sorted multiset of host degrees in which each vertex v
     of F appears rho_v = deg_F(v)/k times; C sums, over the infragraphs
     sharing it, (k-1)^{n-|V(F)|} * e!/prod mu_j! * prod_v (rho_v - 1)! * W'
-    (see ``_rooted_tree_weight``, which is keyed by F's shape).
+    (see ``_infragraph_weight``).
     Infragraphs without a rooting add nothing and are left out.
     """
     k = h.k
     deg = h.degrees()
     table: dict[tuple[int, ...], int] = defaultdict(int)
     for support, mu in (_peeled_vectors if _peelable(h) else _veblen_vectors)(h, e):
-        shape, deg_f = _infragraph_shape(h, support, mu)
-        w = _rooted_tree_weight(shape)
+        deg_f: dict[int, int] = defaultdict(int)
+        for i, c in zip(support, mu):
+            for v in h.edges[i]:
+                deg_f[v] += c
+        w = _infragraph_weight(h, support, mu, deg_f)
         if not w:
             continue
         rho = {v: r // k for v, r in deg_f.items()}

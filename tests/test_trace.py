@@ -32,6 +32,7 @@ from alphatrace.polynomial import AlphaPoly, basis_term
 from alphatrace.trace import (
     _infragraph_shape,
     _infragraph_table,
+    _infragraph_weight,
     _peelable,
     _peeled_vectors,
     _rooted_tree_weight,
@@ -304,8 +305,7 @@ def test_shape_weight_matches_host_rooting():
     cases += [(hyperpath(4, 2), 6), (TRIANGLE, 6), (K6_MINUS_P5, 6)]
     for h, max_edges in cases:
         for f in enumerate_veblen(h, max_edges):
-            shape, deg_f = _infragraph_shape(h, f.edge_indices, f.multiplicities)
-            assert deg_f == f.degrees()
+            shape = _infragraph_shape(h, f.edge_indices, f.multiplicities, f.degrees())
             assert _rooted_tree_weight(shape) == rooted_tree_weight(f), (h, f)
 
 
@@ -494,3 +494,70 @@ def test_peeled_high_order_stays_small(monkeypatch):
     ctx = info.value.context
     assert (ctx["k"], ctx["m"], ctx["e"]) == (2, 30, 60)
     assert 1000 < ctx["nodes"] and ctx["infragraphs"] <= 1000
+
+
+def test_tree_weight_closed_form_on_one_edge():
+    # one edge with k c rows: (k c)!/(c!)^k * c^{k-1} * k^{k-2} against the rooting sum
+    for k in range(2, 7):
+        for c in range(1, 5):
+            h = hyperpath(k, 1)
+            closed = _infragraph_weight(h, (0,), (k * c,), dict.fromkeys(range(k), k * c))
+            assert closed == _rooted_tree_weight(((tuple(range(k)), k * c),)), (k, c)
+
+
+def test_tree_weight_matches_host_rooting():
+    # the closed form on every tree-supported infragraph, against the
+    # rooting-by-rooting sum on host labels
+    cases = [(h, 7) for h in corpus(2, 4)] + [(h, 6) for h in corpus(3, 3)]
+    cases += [(hyperpath(4, 2), 8), (K6_MINUS_P5, 6)]
+    rng = random.Random(21)
+    for _ in range(60):
+        k = rng.choice((2, 3, 4))
+        n = rng.randint(k + 1, 7)
+        pool = list(combinations(range(n), k))
+        edges = rng.sample(pool, rng.randint(1, min(5, len(pool))))
+        cases.append((hypergraph(k, n, edges), 2 * k + 2))
+    checked = multi_edge = 0
+    for h, max_edges in cases:
+        for f in enumerate_veblen(h, max_edges):
+            if len(f.degrees()) == (h.k - 1) * len(f.edge_indices) + 1:  # a hypertree support
+                weight = _infragraph_weight(h, f.edge_indices, f.multiplicities, f.degrees())
+                assert weight == rooted_tree_weight(f), (h, f)
+                checked += 1
+                multi_edge += len(f.edge_indices) > 1
+    assert checked > 1000 and multi_edge > 100, (checked, multi_edge)
+
+
+def test_tree_branch_off_gives_equal_tables(monkeypatch):
+    # with every W' taken from the shape route, the tables stay the same
+    hosts = [(K6_MINUS_P5, 8)]
+    for k, m in ((2, 7), (3, 7), (4, 6)):
+        family = enumerate_hypertrees(k, m, m) + enumerate_linear_unicyclic(k, m, max_edges=m)
+        hosts += [(h, 2 * k + 4) for h in family]
+
+    def tables():
+        _infragraph_table.cache_clear()
+        return [[structural_components(h, d) for d in range(d_max + 1)] for h, d_max in hosts]
+
+    closed = tables()
+    monkeypatch.setattr(
+        trace_module, "_infragraph_weight",
+        lambda h, support, mu, deg_f: _rooted_tree_weight(
+            _infragraph_shape(h, support, mu, deg_f)),
+    )
+    shaped = tables()
+    _infragraph_table.cache_clear()
+    assert closed == shaped
+
+
+def test_cold_hypertree_roots_nothing():
+    # every infragraph of a hypertree is tree-supported, so a cold trace
+    # roots no shape, and the host is checked for peelability once
+    h = hyperstar(3, 5)
+    for cache in (_structural_components_cached, _infragraph_table, _rooted_tree_weight,
+                  _peelable):
+        cache.cache_clear()
+    for d in range(10):
+        trace(h, d)
+    assert _rooted_tree_weight.cache_info().misses == 0
+    assert _peelable.cache_info().misses == 1
