@@ -11,6 +11,7 @@ disagreement, 2 usage error, 3 budget exceeded.
 from __future__ import annotations
 
 import argparse
+import functools
 import io
 import json
 import os
@@ -233,7 +234,11 @@ def _budget(args) -> int:
     return enumeration.DEFAULT_MAX_EDGES
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process.  ``set_defaults(func=...)`` binds
+    each subcommand's handler at that first build, so a handler replaced
+    later is not seen."""
     parser = argparse.ArgumentParser(
         prog="alphatrace",
         description="Exact spectral moments of k-uniform hypergraphs and their extremal orderings.",

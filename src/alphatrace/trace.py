@@ -70,9 +70,20 @@ fixes one multiplicity per edge (``_veblen_vectors``): an edge that is
 the last one at some vertex may only take multiplicities that make
 that vertex's degree a multiple of k, so the walk steps through one
 residue class mod k, and it ends a branch as soon as the e rows are
-spent.  Either source is capped at ``MAX_WALK_NODES`` nodes per (host,
-e) and raises ``BudgetExceeded`` with (k, n, m, e, nodes, infragraphs
-so far) past it.
+spent.  It carries the residue deficit D = sum_v (-deg_F(v) mod k) of
+the rows placed so far and cuts a branch with D > k * (rows left).
+A candidate is connected when its edges' vertex bitmasks join into one
+union.  Either source hands each infragraph's deg_F to the table with
+its rows.  Either is capped at ``MAX_WALK_NODES`` nodes per (host, e)
+and raises ``BudgetExceeded`` with (k, n, m, e, nodes, infragraphs so
+far) past it.
+
+Deficit cut.  No branch with D > k * (rows left) completes.  Proof.  A
+vertex of nonzero residue r_v is open (the walk closed every other one
+at residue 0) and needs at least r_v more incidences.  Each row left
+gives one incidence to each of k vertices, k * (rows left) in all,
+fewer than D.  A row lowers D by at most k, so once a count c on the
+current edge is cut, so is every larger c.  []
 
 Tree supports.  A connected support S is a hypertree exactly when
 |V(F)| = (k-1)|S| + 1.  Then mu_j = k c_j (the lemma; a hypertree is
@@ -329,8 +340,9 @@ def _peelable(h: Hypergraph) -> bool:
 
 
 def _peeled_vectors(h: Hypergraph, total: int):
-    """Yield (edge_indices, multiplicities) of every connected k-valent
-    infragraph of a peelable host with total multiplicity exactly ``total``.
+    """Yield (edge_indices, multiplicities, deg_F) of every connected
+    k-valent infragraph of a peelable host with total multiplicity exactly
+    ``total``.
 
     By the lemma in the module docstring these are the connected edge sets
     S with |S| <= total/k, each with k times every composition of total/k
@@ -362,7 +374,12 @@ def _peeled_vectors(h: Hypergraph, total: int):
             if nodes > MAX_WALK_NODES:
                 raise _walk_budget(h, total, nodes, found)
             for cuts in combinations(range(1, q), s - 1):
-                yield support, tuple(k * (b - a) for a, b in zip((0, *cuts), (*cuts, q)))
+                mu = tuple(k * (b - a) for a, b in zip((0, *cuts), (*cuts, q)))
+                deg_f: dict[int, int] = defaultdict(int)
+                for i, c in zip(support, mu):
+                    for v in h.edges[i]:
+                        deg_f[v] += c
+                yield support, mu, deg_f
             found += math.comb(q - 1, s - 1)
             if s < q:
                 for x, w in enumerate(ext):
@@ -370,74 +387,109 @@ def _peeled_vectors(h: Hypergraph, total: int):
                     stack.append((support + (w,), ext[x + 1:] + new, reached | nbrs[w]))
 
 
-def _veblen_vectors(
-    h: Hypergraph, total: int
-) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """(edge_indices, multiplicities) of all connected k-valent infragraphs
-    with total multiplicity exactly ``total``, in lexicographic order of
-    the multiplicity vector.
+def _joined(masks: list[int]) -> bool:
+    """Whether the vertex sets given as bitmasks form one connected union."""
+    reach, rest = masks[0], masks[1:]
+    while rest:
+        left = []
+        for x in rest:
+            if x & reach:
+                reach |= x
+            else:
+                left.append(x)
+        if len(left) == len(rest):
+            return False
+        rest = left
+    return True
+
+
+Infragraph = tuple[tuple[int, ...], tuple[int, ...], dict[int, int]]
+
+
+def _veblen_vectors(h: Hypergraph, total: int) -> list[Infragraph]:
+    """(edge_indices, multiplicities, deg_F) of all connected k-valent
+    infragraphs with total multiplicity exactly ``total``, in lexicographic
+    order of the multiplicity vector; deg_F maps each vertex of F to its
+    degree there.
 
     Edge i closes the vertices whose last edge it is, so its multiplicity
     must be -deg(v) mod k for each of them: the walk steps through that
     residue class only, and stops at once where two closing vertices
-    disagree.  When the budget runs out, one check over the vertices still
-    open settles the rest.  Each visited partial assignment counts against
+    disagree.  It carries the residue deficit D, the sum over vertices of
+    -deg_F(v) mod k, and cuts a child with D > k * (rows left): a vertex
+    of residue r needs r more incidences, and each row left gives only k
+    (the module docstring has the whole proof).  D moves only when a
+    non-closing edge steps by 1, and once per closing edge.  A child that
+    spends the last rows is checked in place (D = 0, then its edges'
+    vertex bitmasks must join), and the last edge takes exactly the rows
+    left.  Each visited partial assignment counts against
     ``MAX_WALK_NODES``.
     """
-    m, k = h.m, h.k
+    m, k, edges = h.m, h.k, h.edges
     if m == 0 or total < 1:
         return []
     last_edge = {}
-    for i, e in enumerate(h.edges):
+    for i, e in enumerate(edges):
         for v in e:
             last_edge[v] = i
     close_at: list[list[int]] = [[] for _ in range(m)]
     for v, i in last_edge.items():
         close_at[i].append(v)
-    open_from = [[v for v, last in last_edge.items() if last >= i] for i in range(m + 1)]
-    deg = dict.fromkeys(last_edge, 0)
+    masks = [sum(1 << v for v in e) for e in edges]
+    deg = [0] * h.n
     mu = [0] * m
     found = []
     nodes = 0
 
-    def rec(i: int, budget: int):
+    def leaf(i: int):
+        # every residue is 0 and edges 0..i hold all the rows
+        support = [j for j in range(i + 1) if mu[j]]
+        if _joined([masks[j] for j in support]):
+            found.append((tuple(support), tuple(mu[j] for j in support),
+                          {v: deg[v] for j in support for v in edges[j]}))
+
+    def rec(i: int, budget: int, deficit: int):
         nonlocal nodes
         nodes += 1
         if nodes > MAX_WALK_NODES:
             raise _walk_budget(h, total, nodes, len(found))
-        if budget == 0:
-            if all(deg[v] % k == 0 for v in open_from[i]):
-                support = [j for j in range(i) if mu[j]]
-                edges = [h.edges[j] for j in support]
-                if connects({v for e in edges for v in e}, edges):
-                    found.append((tuple(support), tuple(mu[j] for j in support)))
-            return
-        if i == m:
-            return
+        e = edges[i]
         close = close_at[i]
         if close:
             start = -deg[close[0]] % k
             for v in close[1:]:
                 if (deg[v] + start) % k:
                     return
+            if i == m - 1:  # every vertex closes here: take exactly the rows left
+                if (budget - start) % k:
+                    return
+                start = budget
+            for v in e:  # any c moves each residue on e by -start
+                r = -deg[v] % k
+                deficit += (r - start) % k - r
             step = k
         else:
             start, step = 0, 1
-        e = h.edges[i]
         c = start
         for v in e:
             deg[v] += c
-        while c <= budget:
+        while deficit <= k * (budget - c):
             mu[i] = c
-            rec(i + 1, budget - c)
+            if c == budget:
+                leaf(i)
+                break
+            rec(i + 1, budget - c, deficit)
             c += step
             for v in e:
+                if step == 1:
+                    deficit += k - 1 if deg[v] % k == 0 else -1
                 deg[v] += step
         for v in e:
             deg[v] -= c
         mu[i] = 0
 
-    rec(0, total)
+    rec(0, total, 0)
+    del rec  # break rec's reference to itself, so found goes when its reader drops it
     return found
 
 
@@ -547,11 +599,7 @@ def _infragraph_table(h: Hypergraph, e: int) -> tuple[tuple[tuple[int, ...], int
     k = h.k
     deg = h.degrees()
     table: dict[tuple[int, ...], int] = defaultdict(int)
-    for support, mu in (_peeled_vectors if _peelable(h) else _veblen_vectors)(h, e):
-        deg_f: dict[int, int] = defaultdict(int)
-        for i, c in zip(support, mu):
-            for v in h.edges[i]:
-                deg_f[v] += c
+    for support, mu, deg_f in (_peeled_vectors if _peelable(h) else _veblen_vectors)(h, e):
         w = _infragraph_weight(h, support, mu, deg_f)
         if not w:
             continue
@@ -565,6 +613,7 @@ def _infragraph_table(h: Hypergraph, e: int) -> tuple[tuple[tuple[int, ...], int
     return tuple(sorted(table.items()))
 
 
+@lru_cache(maxsize=TRACE_CACHE_SIZE)
 def _complete_homogeneous(values: tuple[int, ...], t: int) -> int:
     """h_t(values): the sum of all degree-t monomials in ``values``."""
     h = [1] + [0] * t

@@ -235,6 +235,11 @@ def test_enumerate_veblen_examples():
         enumerate_veblen(e, 100)
 
 
+def _pairs(infragraphs):
+    """Sorted (support, mu) pairs of a source's (support, mu, deg_F) triples."""
+    return sorted((support, mu) for support, mu, _ in infragraphs)
+
+
 def test_veblen_walk_matches_reference():
     # the residue-stepped walk against every composition of e rows
     rng = random.Random(6)
@@ -245,10 +250,43 @@ def test_veblen_walk_matches_reference():
             pool = list(combinations(range(n), k))
             h = hypergraph(k, n, rng.sample(pool, rng.randint(1, min(8, len(pool)))))
             cases.append((h, 6))
-    cases += [(K6_MINUS_P5, 5), (DENSE_3GRAPH, 5)]
+    # two disjoint triangles, isolated vertices below and between the others,
+    # and labels past 64 (the walk keeps each edge's vertices as a bitmask)
+    two_triangles = hypergraph(2, 6, [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5)])
+    isolated = hypergraph(3, 9, [(1, 2, 4), (1, 4, 5), (2, 4, 5), (1, 2, 5), (5, 7, 8)])
+    wide = hypergraph(2, 70, [(3, 64), (3, 65), (3, 69), (64, 65), (64, 69), (65, 69), (1, 66)])
+    cases += [(K6_MINUS_P5, 5), (DENSE_3GRAPH, 6), (two_triangles, 8), (isolated, 9), (wide, 8)]
     for h, max_e in cases:
         for e in range(1, max_e + 1):
-            assert sorted(_veblen_vectors(h, e)) == veblen_vectors_reference(h, e), (h, e)
+            assert _pairs(_veblen_vectors(h, e)) == veblen_vectors_reference(h, e), (h, e)
+    # every edge once is 2-valent on the triangles' union, but not connected
+    assert ((0, 1, 2, 3, 4, 5), (1,) * 6) not in _pairs(_veblen_vectors(two_triangles, 6))
+
+
+def test_deficit_cut_shrinks_walk(monkeypatch):
+    # K6 minus P5 at e = 8: the walk visits 5,936 nodes for its 1,394
+    # infragraphs; without the residue-deficit cut it passes this cap
+    monkeypatch.setattr(trace_module, "MAX_WALK_NODES", 6000)
+    assert len(_veblen_vectors(K6_MINUS_P5, 8)) == 1394
+
+
+def test_sources_hand_over_deg_f():
+    # deg_F from either source equals the degrees recomputed from its rows
+    walked = [K6_MINUS_P5, DENSE_3GRAPH, hypercycle(2, 5),
+              hypergraph(2, 70, [(3, 64), (3, 65), (64, 65), (65, 69), (3, 69)])]
+    peeled = [hyperpath(3, 4), cycle_with_pendant_star(3, 4, 6), hyperstar(4, 3)]
+    checked = 0
+    for source, hosts in ((_veblen_vectors, walked), (_peeled_vectors, peeled)):
+        for h in hosts:
+            for e in range(1, 2 * h.k + 3):
+                for support, mu, deg_f in source(h, e):
+                    expected: dict[int, int] = {}
+                    for i, c in zip(support, mu):
+                        for v in h.edges[i]:
+                            expected[v] = expected.get(v, 0) + c
+                    assert deg_f == expected, (h, support, mu)
+                    checked += 1
+    assert checked > 1000, checked
 
 
 def test_walk_budget(monkeypatch):
@@ -393,9 +431,9 @@ def test_cold_moments_make_no_fraction():
     assert fractions_calls(lambda: [trace(h, d) for d in range(9)]) == 0
 
 
-def _by_edge(pairs):
+def _by_edge(infragraphs):
     """Sorted (support, mu) pairs, each support in ascending edge order."""
-    return sorted(tuple(zip(*sorted(zip(support, mu)))) for support, mu in pairs)
+    return sorted(tuple(zip(*sorted(zip(support, mu)))) for support, mu, _ in infragraphs)
 
 
 def _random_peelable(rng, k, m):
@@ -437,7 +475,7 @@ def test_peeled_infragraphs_match_walk_and_reference():
         assert len(peelable) == (len(enumerate_hypertrees(k, m, m)) if k == 2 else len(family))
         for h in peelable:
             for e in range(1, 2 * k + 5):
-                assert _by_edge(_peeled_vectors(h, e)) == sorted(_veblen_vectors(h, e)), (h, e)
+                assert _by_edge(_peeled_vectors(h, e)) == _pairs(_veblen_vectors(h, e)), (h, e)
         sampled += [(h, 2 * k + 4) for h in rng.sample(peelable, 3)]
     sampled += [(_random_peelable(rng, rng.choice((2, 3, 4)), rng.randint(1, 6)), 8)
                 for _ in range(40)]
@@ -445,7 +483,7 @@ def test_peeled_infragraphs_match_walk_and_reference():
         assert _peelable(h), h
         for e in range(1, max_e + 1):
             peeled = _by_edge(_peeled_vectors(h, e))
-            assert peeled == veblen_vectors_reference(h, e) == sorted(_veblen_vectors(h, e)), (h, e)
+            assert peeled == veblen_vectors_reference(h, e) == _pairs(_veblen_vectors(h, e)), (h, e)
 
 
 def test_peeled_tables_equal_walked_tables(monkeypatch):
@@ -484,7 +522,7 @@ def test_peeled_high_order_stays_small(monkeypatch):
     h = hyperpath(2, 2)
     peeled = _by_edge(_peeled_vectors(h, 60))
     assert len(peeled) == 2 + 29
-    assert peeled == sorted(_veblen_vectors(h, 60))
+    assert peeled == _pairs(_veblen_vectors(h, 60))
     # a 30-edge path at the same order: the cap is checked before a set's
     # C(29, |S| - 1) compositions are made, so a low cap raises at once
     monkeypatch.setattr(trace_module, "MAX_WALK_NODES", 1000)
