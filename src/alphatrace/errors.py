@@ -23,8 +23,8 @@ class OrderingError(AlphaTraceError):
 
 class UnsupportedError(AlphaTraceError):
     """The input lies outside a routine's domain: a closed form that is
-    not available, or a canonical form of a hypergraph that is neither a
-    connected hypertree nor a connected unicyclic hypergraph."""
+    not available, or a canonical form, girth or diameter outside the
+    incidence peel's domain (see ``hypergraph._peel``)."""
 
 
 class MethodDisagreement(AlphaTraceError):

@@ -12,16 +12,21 @@ JSON interchange format::
 Every number is a JSON integer.  Edges are sorted ascending on load; a
 repeated edge is an error.  An optional ``mult`` list is accepted only
 when every entry is 1.
+
+One leaf-layer peel of the incidence graph (``_peel``) gives the canonical
+key, class, girth and diameter; ``girth`` needs a connected input of
+cyclomatic number at most 1, ``diameter`` a hypertree.
 """
 
 from __future__ import annotations
 
 import json
+from collections import defaultdict
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Sequence
 
-from .errors import HypergraphError
+from .errors import HypergraphError, UnsupportedError
 
 
 @dataclass(frozen=True, slots=True)
@@ -143,75 +148,68 @@ def is_linear(h: Hypergraph) -> bool:
     return True
 
 
-def _incidence_adjacency(h: Hypergraph) -> list[list[int]]:
-    """Bipartite incidence graph: nodes 0..n-1 vertices, n..n+m-1 edges."""
-    adj: list[list[int]] = [[] for _ in range(h.n + h.m)]
-    for i, e in enumerate(h.edges):
-        node = h.n + i
+def _peel(h: Hypergraph) -> tuple[list[list[int]], list[int], list[int]]:
+    """Peel the incidence graph (vertex nodes ``0..n-1``, edge nodes
+    ``n..n+m-1``) one layer of leaves at a time.  Returns the layers, each
+    node's parent (the node it was peeled into; -1 in the core) and the
+    core: a hypertree's center, or a unicyclic hypergraph's cycle in
+    order.  Defined on connected inputs with n >= 1 and cyclomatic number
+    at most 1 (k*m <= n+m); anything else raises ``UnsupportedError``."""
+    k, n, edges = h.k, h.n, h.edges
+    total = n + len(edges)
+    if n == 0 or k * len(edges) > total or not is_connected(h):
+        raise UnsupportedError(
+            f"needs a connected hypertree or unicyclic hypergraph, got k={k}, n={n}, m={total - n}"
+        )
+    deg = [0] * n + [k] * (total - n)
+    link = [0] * total  # the sum of each node's neighbours not yet peeled
+    for node, e in enumerate(edges, n):
+        link[node] = sum(e)
         for v in e:
-            adj[v].append(node)
-            adj[node].append(v)
-    return adj
+            deg[v] += 1
+            link[v] += node
+    parent = [-1] * total
+    layers = []
+    # edge nodes have degree k >= 2, so every leaf is a vertex node; a
+    # longest path of the tree then has even length and one center
+    layer = [v for v in range(n) if deg[v] == 1]
+    while layer:
+        layers.append(layer)
+        nxt = []
+        for x in layer:  # a leaf's link is its one neighbour left
+            p = parent[x] = link[x]
+            link[p] -= x
+            deg[p] -= 1
+            if deg[p] == 1:
+                nxt.append(p)
+        layer = [p for p in nxt if deg[p] == 1]  # the center ends at degree 0
+    core = [x for x in range(total) if parent[x] < 0]
+    if len(core) > 1:  # a cycle, each node linking its two neighbours: walk it from an edge node
+        cycle = [next(v for v in edges[core[-1] - n] if parent[v] < 0), core[-1]]
+        while len(cycle) < len(core):
+            cycle.append(link[cycle[-1]] - cycle[-2])
+        core = cycle
+    return layers, parent, core
 
 
 def girth(h: Hypergraph) -> int | None:
-    """Length (in edges) of a shortest Berge cycle; None when acyclic.
-
-    Two edges meeting in >= 2 vertices form a cycle of length 2.  Longer
-    cycles are found as cycles of the bipartite incidence graph (a Berge
-    cycle of length g is an incidence cycle of length 2g).
-    """
-    if not is_linear(h):
-        return 2
-    adj = _incidence_adjacency(h)
-    best: int | None = None
-    total = len(adj)
-    for start in range(h.n, total):  # every cycle passes through an edge node
-        dist = [-1] * total
-        par = [-1] * total
-        dist[start] = 0
-        queue = [start]
-        qi = 0
-        while qi < len(queue):
-            x = queue[qi]
-            qi += 1
-            if best is not None and dist[x] >= best // 2:
-                break
-            for y in adj[x]:
-                if dist[y] == -1:
-                    dist[y] = dist[x] + 1
-                    par[y] = x
-                    queue.append(y)
-                elif par[x] != y and par[y] != x:
-                    cyc = dist[x] + dist[y] + 1
-                    if best is None or cyc < best:
-                        best = cyc
-    if best is None:
-        return None
-    return best // 2
+    """Length (in edges) of the one Berge cycle, half the incidence
+    cycle's (two edges on a shared pair give 2); None for a hypertree.
+    Defined where ``_peel`` is."""
+    core = _peel(h)[2]
+    return len(core) // 2 if len(core) > 1 else None
 
 
 def diameter(h: Hypergraph) -> int:
-    """Max over vertex pairs of the least number of edges on a connecting walk."""
+    """Max over vertex pairs of the least number of edges on a connecting
+    walk: a hypertree's number of peel layers.  A disconnected input
+    raises ``HypergraphError``, any other non-tree ``UnsupportedError``."""
     if not is_connected(h):
         raise HypergraphError("diameter of a disconnected hypergraph")
-    if h.n <= 1:
-        return 0
-    adj = _incidence_adjacency(h)
-    worst = 0
-    for s in range(h.n):
-        dist = {s: 0}
-        queue = [s]
-        qi = 0
-        while qi < len(queue):
-            x = queue[qi]
-            qi += 1
-            for y in adj[x]:
-                if y not in dist:
-                    dist[y] = dist[x] + 1
-                    queue.append(y)
-        worst = max(worst, max(d for node, d in dist.items() if node < h.n))
-    return worst // 2
+    layers, _, core = _peel(h)
+    if len(core) > 1:
+        raise UnsupportedError("diameter needs a hypertree, got a unicyclic hypergraph")
+    return len(layers)
 
 
 HYPERTREE = "hypertree"
@@ -229,15 +227,18 @@ def classify(h: Hypergraph) -> Classification:
     """Hypertree / linear unicyclic (with girth) / other.
 
     A connected hypergraph on n = m(k-1)+1 vertices is acyclic; a
-    connected linear one on n = m(k-1) vertices carries exactly one Berge
-    cycle (its incidence graph has cyclomatic number 1).
+    connected one on n = m(k-1) >= 1 vertices carries exactly one Berge
+    cycle (its incidence graph has cyclomatic number 1), and is linear
+    exactly when that cycle's length is at least 3.
     """
     if not is_connected(h):
         return Classification(OTHER)
     if h.n == h.m * (h.k - 1) + 1:
         return Classification(HYPERTREE)
-    if is_linear(h) and h.n == h.m * (h.k - 1):
-        return Classification(LINEAR_UNICYCLIC, girth(h))
+    if h.n and h.n == h.m * (h.k - 1):
+        g = girth(h)
+        if g >= 3:
+            return Classification(LINEAR_UNICYCLIC, g)
     return Classification(OTHER)
 
 
@@ -257,11 +258,12 @@ def pendant_edges_at(h: Hypergraph, u: int) -> list[int]:
 
 
 def complete_subhypergraphs(h: Hypergraph) -> list[tuple[int, ...]]:
-    """Vertex sets S of size k+1 whose k+1 k-subsets are all edges of h."""
+    """Sorted vertex sets S of size k+1 whose k+1 k-subsets are all edges of
+    h; each is the union of any two of its edges, which share k-1 vertices."""
     edge_set = set(h.edges)
-    candidates = sorted({v for e in h.edges for v in e})
-    found = []
-    for s in combinations(candidates, h.k + 1):
-        if all(tuple(sorted(set(s) - {v})) in edge_set for v in s):
-            found.append(s)
-    return found
+    by_ridge = defaultdict(list)
+    for e in h.edges:
+        for ridge in combinations(e, h.k - 1):
+            by_ridge[ridge].append(e)
+    unions = {tuple(sorted({*e, *f})) for g in by_ridge.values() for e, f in combinations(g, 2)}
+    return sorted(s for s in unions if all(t in edge_set for t in combinations(s, h.k)))

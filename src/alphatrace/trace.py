@@ -685,7 +685,8 @@ def _clique_tree_weight(k: int) -> int:
 
 
 def trace_closed(h: Hypergraph, d: int) -> AlphaPoly:
-    """Closed-form moment for 0 <= d <= k+2."""
+    """Closed-form moment for 0 <= d <= k+2.  At d = k+2 the adjacency
+    term comes from the structural route (see ``trace_k_plus_2``)."""
     k, n = h.k, h.n
     if not 0 <= d <= k + 2:
         raise UnsupportedError(f"closed forms cover orders 0..k+2, got {d}")
@@ -709,7 +710,9 @@ def trace_closed(h: Hypergraph, d: int) -> AlphaPoly:
 
 def trace_k_plus_2(h: Hypergraph) -> AlphaPoly:
     """Order k+2: degree part, adjacency part, per-edge degree correlations,
-    and the complete-subhypergraph tree-count term."""
+    and the complete-subhypergraph tree-count term.  The adjacency part is the
+    structural route's, so a brute-force cross-check here tests only the
+    degree-correlation and clique terms."""
     k, n = h.k, h.n
     d = k + 2
     deg = h.degrees()

@@ -27,6 +27,13 @@ the production chain is integer and primitive.  ``sort_family_reference``
 ranks a family by the literal ``Fraction`` value of each moment at alpha,
 where production buckets on the integers q^d * Tr_d(p/q).
 
+``girth_reference`` and ``diameter_reference`` are breadth-first
+searches of the bipartite incidence graph, from every edge node and
+every vertex node; production reads both off one leaf-layer peel.
+``complete_subhypergraphs_reference`` tries every (k+1)-subset of the
+touched vertices, where production only tries unions of two edges on a
+shared (k-1)-subset.
+
 ``canonical_form_reference`` is a general search canon that shares no
 code with the incidence-tree code: twin vertices collapse into one
 weighted class node, then colour refinement with individualization
@@ -46,7 +53,7 @@ from itertools import combinations, combinations_with_replacement, permutations,
 
 from alphatrace.digraph import MultiDigraph, count_in_arborescences, multidigraph
 from alphatrace.errors import BudgetExceeded, HypergraphError
-from alphatrace.hypergraph import Hypergraph, hypergraph
+from alphatrace.hypergraph import Hypergraph, hypergraph, is_connected, is_linear
 from alphatrace.polynomial import AlphaPoly
 from alphatrace.trace import trace
 
@@ -431,6 +438,92 @@ def canonical_form_reference(h: Hypergraph) -> bytes:
         return repr((h.k, h.n, size_row, rows)).encode()
 
     return _canonize(adj, colors, encode)
+
+
+# ---------------------------------------------------------------------------
+# Incidence-graph searches: girth, diameter and complete subhypergraphs
+# ---------------------------------------------------------------------------
+
+def _incidence_adjacency(h: Hypergraph) -> list[list[int]]:
+    """Bipartite incidence graph: nodes 0..n-1 vertices, n..n+m-1 edges."""
+    adj: list[list[int]] = [[] for _ in range(h.n + h.m)]
+    for i, e in enumerate(h.edges):
+        node = h.n + i
+        for v in e:
+            adj[v].append(node)
+            adj[node].append(v)
+    return adj
+
+
+def girth_reference(h: Hypergraph) -> int | None:
+    """Length (in edges) of a shortest Berge cycle; None when acyclic.
+
+    Two edges meeting in >= 2 vertices form a cycle of length 2.  Longer
+    cycles are found as cycles of the bipartite incidence graph (a Berge
+    cycle of length g is an incidence cycle of length 2g).
+    """
+    if not is_linear(h):
+        return 2
+    adj = _incidence_adjacency(h)
+    best: int | None = None
+    total = len(adj)
+    for start in range(h.n, total):  # every cycle passes through an edge node
+        dist = [-1] * total
+        par = [-1] * total
+        dist[start] = 0
+        queue = [start]
+        qi = 0
+        while qi < len(queue):
+            x = queue[qi]
+            qi += 1
+            if best is not None and dist[x] >= best // 2:
+                break
+            for y in adj[x]:
+                if dist[y] == -1:
+                    dist[y] = dist[x] + 1
+                    par[y] = x
+                    queue.append(y)
+                elif par[x] != y and par[y] != x:
+                    cyc = dist[x] + dist[y] + 1
+                    if best is None or cyc < best:
+                        best = cyc
+    if best is None:
+        return None
+    return best // 2
+
+
+def diameter_reference(h: Hypergraph) -> int:
+    """Max over vertex pairs of the least number of edges on a connecting walk."""
+    if not is_connected(h):
+        raise HypergraphError("diameter of a disconnected hypergraph")
+    if h.n <= 1:
+        return 0
+    adj = _incidence_adjacency(h)
+    worst = 0
+    for s in range(h.n):
+        dist = {s: 0}
+        queue = [s]
+        qi = 0
+        while qi < len(queue):
+            x = queue[qi]
+            qi += 1
+            for y in adj[x]:
+                if y not in dist:
+                    dist[y] = dist[x] + 1
+                    queue.append(y)
+        worst = max(worst, max(d for node, d in dist.items() if node < h.n))
+    return worst // 2
+
+
+def complete_subhypergraphs_reference(h: Hypergraph) -> list[tuple[int, ...]]:
+    """Vertex sets S of size k+1 whose k+1 k-subsets are all edges of h."""
+    edge_set = set(h.edges)
+    candidates = sorted({v for e in h.edges for v in e})
+    found = []
+    for s in combinations(candidates, h.k + 1):
+        if all(tuple(sorted(set(s) - {v})) in edge_set for v in s):
+            found.append(s)
+    return found
 
 
 # ---------------------------------------------------------------------------

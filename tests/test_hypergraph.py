@@ -1,4 +1,6 @@
 import random
+import time
+from itertools import combinations
 
 import pytest
 
@@ -7,6 +9,7 @@ from alphatrace import (
     LINEAR_UNICYCLIC,
     OTHER,
     HypergraphError,
+    UnsupportedError,
     classify,
     complete_subhypergraphs,
     diameter,
@@ -18,7 +21,10 @@ from alphatrace import (
     is_connected,
     is_linear,
 )
-from alphatrace.hypergraph import from_json_dict, loads, pendant_edges_at
+from alphatrace.enumeration import FamilyFilter, enumerate_family
+from alphatrace.families import add_pendant_edge
+from alphatrace.hypergraph import _peel, from_json_dict, loads, pendant_edges_at
+from reference import complete_subhypergraphs_reference, diameter_reference, girth_reference
 
 
 def test_validation():
@@ -98,6 +104,64 @@ def test_classify():
     assert classify(hypergraph(3, 4, [(0, 1, 2), (0, 1, 3)])).kind == OTHER
 
 
+def _pendant_grown(rng, seed, steps):
+    h = seed
+    for _ in range(steps):
+        h = add_pendant_edge(h, rng.randrange(h.n))
+    return h
+
+
+def test_peel_invariants_match_bfs_reference():
+    """Girth, diameter and class read off the incidence peel agree with
+    breadth-first search on both families, on seeded non-linear
+    unicyclic graphs (two edges on a shared pair, grown by pendant
+    edges) and on seeded pendant-grown hypertrees, whose peel ends at
+    one center."""
+    rng = random.Random(31)
+    members = [
+        h
+        for k, top in ((2, 7), (3, 7), (4, 6))
+        for cls, low in ((HYPERTREE, 1), (LINEAR_UNICYCLIC, 3))
+        for m in range(low, top + 1)
+        for h in enumerate_family(FamilyFilter(cls, k, m), max_edges=top)
+    ]
+    shared_pair = [
+        _pendant_grown(rng, hypergraph(k, 2 * k - 2, [range(k), (0, 1, *range(k, 2 * k - 2))]), steps)
+        for k in (3, 4, 5)
+        for steps in range(6)
+        for _ in range(4)
+    ]
+    trees = [
+        _pendant_grown(rng, hyperpath(k, 0), steps)
+        for k in (2, 3, 4, 5)
+        for steps in range(12)
+        for _ in range(4)
+    ]
+    for h in trees:
+        assert len(_peel(h)[2]) == 1, h
+    for h in members + shared_pair + trees:
+        g = girth_reference(h)
+        assert girth(h) == g, h
+        if h.n == h.m * (h.k - 1) + 1:
+            assert diameter(h) == diameter_reference(h), h
+            expected = (HYPERTREE, None)
+        else:
+            expected = (LINEAR_UNICYCLIC, g) if is_linear(h) else (OTHER, None)
+        c = classify(h)
+        assert (c.kind, c.girth) == expected, h
+
+
+def test_peel_domains():
+    k4 = hypergraph(2, 4, list(combinations(range(4), 2)))
+    for h in (k4, hypergraph(2, 4, [(0, 1), (2, 3)])):
+        with pytest.raises(UnsupportedError):
+            girth(h)
+    with pytest.raises(UnsupportedError):
+        diameter(hypercycle(3, 4))
+    # n = m(k-1) holds for the empty hypergraph too, but it has no cycle
+    assert classify(hypergraph(3, 0, [])).kind == OTHER
+
+
 def test_connectivity():
     assert is_connected(hyperpath(3, 4))
     assert not is_connected(hypergraph(2, 4, [(0, 1), (2, 3)]))
@@ -120,6 +184,24 @@ def test_complete_subhypergraphs():
     assert complete_subhypergraphs(hyperpath(3, 2)) == []
     k4 = hypergraph(3, 4, [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)])
     assert complete_subhypergraphs(k4) == [(0, 1, 2, 3)]
+
+
+def test_complete_subhypergraphs_match_reference():
+    rng = random.Random(37)
+    for _ in range(600):
+        k = rng.randint(2, 4)
+        n = rng.randint(k, 8)
+        density = rng.random()
+        edges = [e for e in combinations(range(n), k) if rng.random() < density]
+        h = hypergraph(k, n, edges)
+        assert complete_subhypergraphs(h) == complete_subhypergraphs_reference(h), h
+
+
+def test_complete_subhypergraphs_on_long_paths():
+    # unions of edges on a shared (k-1)-subset, not every (k+1)-subset
+    start = time.perf_counter()
+    assert complete_subhypergraphs(hyperpath(3, 2000)) == []
+    assert time.perf_counter() - start < 2.0
 
 
 def test_json_roundtrip():
