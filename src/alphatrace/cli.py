@@ -32,7 +32,8 @@ EXIT_BUDGET = 3
 
 BUDGET_ENV = "ALPHATRACE_MAX_EDGES"
 
-# ``trace --method``: the library's ``trace`` is the structural route
+# ``trace --method``: the library's ``trace`` is the structural route, which
+# counts closed walks for k = 2 and sums infragraphs for k >= 3
 ROUTES = {"structural": trace, "brute": trace_bruteforce, "closed": trace_closed}
 
 

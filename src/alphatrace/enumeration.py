@@ -9,10 +9,11 @@ m-g edges from the bare hypercycle (attaching a pendant edge can neither
 create a second cycle nor change the girth).
 
 Each growth, one per (class, k, m, girth), runs once per process and is
-kept in key order.  ``enumerate_family`` is the one entry point: it
-merges the growths a filter needs (one girth, or girths 3..m) and
-applies the diameter and maximum-degree filters to that list, so every
-family it returns is sorted by canonical key.
+kept in key order, and so are the diameters of a hypertree growth.
+``enumerate_family`` is the one entry point: it merges the growths a
+filter needs (one girth, or girths 3..m) and applies the diameter and
+maximum-degree filters to that list, so every family it returns is
+sorted by canonical key.
 """
 
 from __future__ import annotations
@@ -86,6 +87,13 @@ def _growth(cls: str, k: int, m: int, girth: int | None) -> tuple[tuple[bytes, H
     return tuple(sorted(layer.items()))
 
 
+@cache
+def _diameters(k: int, m: int) -> tuple[int, ...]:
+    """The diameter of each hypertree of one growth, in the growth's order,
+    so every diameter variant of a family filters without recomputing it."""
+    return tuple(diameter(h) for _, h in _growth(HYPERTREE, k, m, None))
+
+
 def enumerate_hypertrees(
     k: int, m: int, max_edges: int = DEFAULT_MAX_EDGES
 ) -> list[Hypergraph]:
@@ -109,8 +117,8 @@ def enumerate_family(
         girths = (filt.girth,) if filt.girth is not None else range(3, filt.m + 1)
     pairs = [pair for g in girths for pair in _growth(filt.cls, filt.k, filt.m, g)]
     members = [h for _, h in sorted(pairs)]
-    if filt.diam is not None:
-        members = [h for h in members if diameter(h) == filt.diam]
+    if filt.diam is not None:  # a hypertree filter: members are the one growth, in order
+        members = [h for h, x in zip(members, _diameters(filt.k, filt.m)) if x == filt.diam]
     if filt.max_degree_two:
         members = [h for h in members if max(h.degrees(), default=0) <= 2]
     return members

@@ -9,7 +9,8 @@ product of its tensor entries times a closed-walk count of the arc
 digraph its rows induce.  Order 0 is no special case: its one (empty)
 assignment counts n(k-1)^{n-1} = (k-1)^{n-1} sum deg^0 eigenvalues.
 
-Two independent evaluation routes are implemented:
+Two independent evaluation routes are implemented (for k = 2 the
+structural one counts closed walks; see Graphs below):
 
 * ``trace_bruteforce``: direct enumeration of assignments, grouped by
   arc star (root plus target multiset); the (k-1)! row permutations of
@@ -40,8 +41,10 @@ Two independent evaluation routes are implemented:
   needs one h_{d-e} per multiset and one exact integer division per
   entry of the moment table.  No infragraph has fewer than k rows,
   since each of its vertices meets a positive multiple of k of them.
-  This is the production path; it is cheap on trees and unicyclic
-  inputs but grows quickly with order on dense ones.
+  This is the production path for k >= 3; it is cheap on trees and
+  unicyclic inputs but grows quickly with order on dense ones.  For
+  k = 2 the production path counts closed walks instead (below), and
+  the infragraph sum stays its oracle.
 
 Where the infragraphs with e rows come from depends on the host.  Call
 a host *peelable* when its edges can be deleted one at a time, each
@@ -100,13 +103,25 @@ block, rooted at the block's vertex nearest the root, and any such
 choice glues to one; a block is Eulerian, so its count, c_j^{k-1}
 k^{k-2} by Cayley, does not depend on that vertex.  []
 
+Graphs.  For k = 2 the tensor is the matrix M = alpha D + (1-alpha) A,
+and ``trace`` reads the table off closed walks
+(``_closed_walk_components``): entry (t, e) sums tr(w) over the words w
+in D and A with t letters D and e letters A, a count polynomial in n
+and d.  Proof that it is the structural table.  An order-2 tensor has
+n (k-1)^{n-1} = n eigenvalues, those of M, so Tr_d = tr(M^d), and
+expanding the product gives sum_{t+e=d} alpha^t (1-alpha)^e times
+that entry.  The polynomials alpha^t (1-alpha)^{d-t}, t = 0..d, are
+linearly independent, so two tables with the same moment agree entry by
+entry.  []
+
 Both routes produce a table indexed by (diagonal rows, edge rows) and
 build the moment polynomial from it (the structural one in integers);
 the degree-tensor slice (alpha = 1), the adjacency slice (alpha = 0)
 and the signless-Laplacian scaling (2^d times alpha = 1/2) are
 evaluations of that polynomial.
-``trace`` is the structural route; ``check_against_bruteforce`` is the
-one cross-check of any route's result against the brute force.
+``trace`` is the structural route (closed walks for k = 2);
+``check_against_bruteforce`` is the one cross-check of any route's
+result against the brute force.
 
 Closed forms: orders 0..k-1 are pure degree moments; order k adds a
 term linear in the edge count; order k+1 adds the degree square sum and
@@ -448,49 +463,60 @@ def _veblen_vectors(h: Hypergraph, total: int) -> list[Infragraph]:
             found.append((tuple(support), tuple(mu[j] for j in support),
                           {v: deg[v] for j in support for v in edges[j]}))
 
-    def rec(i: int, budget: int, deficit: int):
-        nonlocal nodes
-        nodes += 1
+    # The walk keeps (rows left, deficit, count c, step) of each open edge
+    # below the current one on an explicit stack, not the interpreter's, so
+    # a host of any size stays clear of the recursion limit.
+    stack: list[tuple[int, int, int, int]] = []
+    i, budget, deficit = 0, total, 0
+    while True:
+        nodes += 1  # open edge i with (budget, deficit)
         if nodes > MAX_WALK_NODES:
             raise _walk_budget(h, total, nodes, len(found))
         e = edges[i]
         close = close_at[i]
+        advance = False
         if close:
-            start = -deg[close[0]] % k
+            start, step = -deg[close[0]] % k, k
             for v in close[1:]:
                 if (deg[v] + start) % k:
-                    return
+                    advance = True  # two closing vertices disagree
+                    break
             if i == m - 1:  # every vertex closes here: take exactly the rows left
-                if (budget - start) % k:
-                    return
+                advance = advance or (budget - start) % k != 0
                 start = budget
-            for v in e:  # any c moves each residue on e by -start
-                r = -deg[v] % k
-                deficit += (r - start) % k - r
-            step = k
+            if not advance:
+                for v in e:  # any c moves each residue on e by -start
+                    r = -deg[v] % k
+                    deficit += (r - start) % k - r
         else:
             start, step = 0, 1
-        c = start
-        for v in e:
-            deg[v] += c
-        while deficit <= k * (budget - c):
-            mu[i] = c
-            if c == budget:
-                leaf(i)
-                break
-            rec(i + 1, budget - c, deficit)
-            c += step
+        if not advance:
+            c = start
             for v in e:
-                if step == 1:
-                    deficit += k - 1 if deg[v] % k == 0 else -1
-                deg[v] += step
-        for v in e:
-            deg[v] -= c
-        mu[i] = 0
-
-    rec(0, total, 0)
-    del rec  # break rec's reference to itself, so found goes when its reader drops it
-    return found
+                deg[v] += c
+        while True:
+            if advance:  # edge i is done: step its parent to the next count
+                if not stack:
+                    return found
+                i -= 1
+                e = edges[i]
+                budget, deficit, c, step = stack.pop()
+                c += step
+                for v in e:
+                    if step == 1:
+                        deficit += k - 1 if deg[v] % k == 0 else -1
+                    deg[v] += step
+            if deficit <= k * (budget - c):
+                mu[i] = c
+                if c < budget:
+                    stack.append((budget, deficit, c, step))
+                    i, budget = i + 1, budget - c
+                    break
+                leaf(i)
+            for v in e:
+                deg[v] -= c
+            mu[i] = 0
+            advance = True
 
 
 Shape = tuple[tuple[tuple[int, ...], int], ...]
@@ -648,18 +674,66 @@ def structural_components(h: Hypergraph, d: int) -> dict[tuple[int, int], int]:
     return comp
 
 
+def _closed_walk_components(h: Hypergraph, d: int) -> dict[tuple[int, int], int]:
+    """The moment table of a graph (k = 2) by closed walks: entry (t, e)
+    sums tr(w) over the words w in D and A with t letters D and e letters A.
+
+    From each start vertex i it keeps one sparse layer of vectors, the
+    words applied to e_i, and steps x_{t,e} = D x_{t-1,e} + A x_{t,e-1}
+    d times before reading entry i.  The d+1 vectors of a layer are held
+    as the base-2^s digits of one integer per vertex (digit t for t
+    letters D), so a step costs one product and a few sums per vertex.
+    All words are nonnegative and the digits of the whole sum add up to
+    at most 1^T (D + A)^d 1 <= n (2 maxdeg)^d < 2^s, so no digit carries.
+    Each vertex step counts against ``MAX_WALK_NODES``.
+    """
+    deg = h.degrees()
+    s = (h.n * (2 * max(deg, default=0)) ** d).bit_length()
+    weight = [x << s for x in deg]
+    nbrs: list[list[int]] = [[] for _ in range(h.n)]
+    for u, v in h.edges:
+        nbrs[u].append(v)
+        nbrs[v].append(u)
+    total = steps = 0
+    for i in range(h.n):
+        layer = {i: 1}
+        for _ in range(d):
+            steps += len(layer)
+            if steps > MAX_WALK_NODES:
+                raise BudgetExceeded(
+                    f"closed walks of a 2-graph with n={h.n}, m={h.m} to order {d} passed "
+                    f"{MAX_WALK_NODES} vertex steps at start vertex {i}; steps so far: {steps}",
+                    {"k": 2, "n": h.n, "m": h.m, "d": d, "steps": steps},
+                )
+            nxt: dict[int, int] = defaultdict(int)
+            for u, x in layer.items():
+                nxt[u] += weight[u] * x
+                for v in nbrs[u]:
+                    nxt[v] += x
+            layer = nxt
+        total += layer.get(i, 0)
+    comp = {}
+    for t in range(d + 1):  # as in structural_components: (d, 0), then nonzero entries
+        value = total >> (s * t) & ((1 << s) - 1)
+        if value or t == d:
+            comp[(t, d - t)] = value
+    return comp
+
+
 @lru_cache(maxsize=TRACE_CACHE_SIZE)
 def _structural_components_cached(h: Hypergraph, d: int) -> AlphaPoly:
-    return components_to_poly(structural_components(h, d))
+    components = _closed_walk_components if h.k == 2 else structural_components
+    return components_to_poly(components(h, d))
 
 
 def trace_structural(h: Hypergraph, d: int) -> AlphaPoly:
-    """The d-th moment via the infragraph decomposition."""
+    """The d-th moment: by closed walks for k = 2, else by the infragraph
+    decomposition."""
     return _structural_components_cached(h, d)
 
 
 def trace(h: Hypergraph, d: int) -> AlphaPoly:
-    """The d-th moment, by the structural route."""
+    """The d-th moment, by the structural route (closed walks for k = 2)."""
     return trace_structural(h, d)
 
 

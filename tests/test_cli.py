@@ -3,6 +3,7 @@ import hashlib
 import importlib
 import io
 import json
+from itertools import combinations
 
 import pytest
 
@@ -182,12 +183,15 @@ def test_enumerate_budget_exit(capsys):
     assert "budget" in err.lower()
 
 
-def test_trace_walk_budget_exit(monkeypatch, capsys):
+def test_trace_walk_budget_exit(monkeypatch, capsys, tmp_path):
+    # the complete 3-graph on 5 vertices cannot be peeled, so it takes the walk
     trace_module = importlib.import_module("alphatrace.trace")
     monkeypatch.setattr(trace_module, "MAX_WALK_NODES", 50)
     trace_module._infragraph_table.cache_clear()
     trace_module._structural_components_cached.cache_clear()
-    code, out, err = run(capsys, "trace", "--family", "hypercycle", "--k", "2", "--m", "5", "--d", "8")
+    path = tmp_path / "complete3.json"
+    path.write_text(json.dumps({"k": 3, "n": 5, "edges": [list(e) for e in combinations(range(5), 3)]}))
+    code, out, err = run(capsys, "trace", "--input", str(path), "--d", "8")
     assert code == 3
     assert out == ""
     assert "passed 50 nodes" in err

@@ -15,6 +15,7 @@ from alphatrace import (
     hypergraph,
     hyperpath,
 )
+from alphatrace import enumeration
 from alphatrace.canon import canonical_form
 from alphatrace.enumeration import dump_family
 from alphatrace.hypergraph import diameter, girth
@@ -73,6 +74,17 @@ def test_diameter_filter():
         len(enumerate_family(FamilyFilter(HYPERTREE, 3, 4, diam=d))) for d in (2, 3, 4)
     )
     assert counts == len(enumerate_hypertrees(3, 4))
+
+
+def test_diameter_read_once_per_growth(monkeypatch):
+    # every diameter variant of one hypertree family reads each member's
+    # diameter once, through the name the benchmark tracer binds
+    calls = []
+    monkeypatch.setattr(enumeration, "diameter", lambda h: calls.append(h) or diameter(h))
+    enumeration._diameters.cache_clear()
+    sizes = [len(enumerate_family(FamilyFilter(HYPERTREE, 3, 6, diam=d))) for d in range(2, 7)]
+    assert sum(sizes) == len(calls) == len(enumerate_hypertrees(3, 6)) == 19
+    enumeration._diameters.cache_clear()
 
 
 def test_max_degree_two_filter():

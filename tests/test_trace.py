@@ -30,6 +30,7 @@ from alphatrace import (
 from alphatrace.matrix_oracle import matrix_power_trace
 from alphatrace.polynomial import AlphaPoly, basis_term
 from alphatrace.trace import (
+    _closed_walk_components,
     _infragraph_shape,
     _infragraph_table,
     _infragraph_weight,
@@ -294,7 +295,7 @@ def test_walk_budget(monkeypatch):
     _infragraph_table.cache_clear()
     _structural_components_cached.cache_clear()
     with pytest.raises(BudgetExceeded) as info:
-        trace(K6_MINUS_P5, 8)
+        structural_components(K6_MINUS_P5, 8)
     # the context says how far the walk got: a partial table at some e
     ctx = info.value.context
     assert (ctx["k"], ctx["n"], ctx["m"], ctx["nodes"]) == (2, 6, 11, 101)
@@ -370,10 +371,10 @@ def test_shape_cache_shared_across_hypergraphs():
     _rooted_tree_weight.cache_clear()
     _infragraph_table.cache_clear()
     _structural_components_cached.cache_clear()
-    first = [trace_structural(K6_MINUS_P5, d) for d in range(1, 9)]
+    first = [structural_components(K6_MINUS_P5, d) for d in range(1, 9)]
     rooted = _rooted_tree_weight.cache_info().misses
     assert rooted > 0
-    again = [trace_structural(copy, d) for d in range(1, 9)]
+    again = [structural_components(copy, d) for d in range(1, 9)]
     assert _rooted_tree_weight.cache_info().misses == rooted
     # for k = 2, (k-1)^{n-|V|} = 1 and isolated vertices have degree 0, so
     # only the order-0 moment, not traced here, sees the two extra vertices
@@ -599,3 +600,89 @@ def test_cold_hypertree_roots_nothing():
         trace(h, d)
     assert _rooted_tree_weight.cache_info().misses == 0
     assert _peelable.cache_info().misses == 1
+
+
+# ---------------------------------------------------------------------------
+# k = 2: closed walks of alpha D + (1 - alpha) A
+# ---------------------------------------------------------------------------
+
+# the k = 2 structures of the dense benchmark: K6 minus these edges
+DENSE_GRAPH_REMOVED = (
+    [(0, 1), (0, 2), (0, 3), (0, 4)],
+    [(0, 1), (1, 2), (2, 3), (3, 4)],
+    [(0, 1), (1, 2), (3, 4), (4, 5)],
+)
+
+
+def _random_graphs(seed, count):
+    rng = random.Random(seed)
+    graphs = []
+    for _ in range(count):
+        n = rng.randint(2, 7)
+        pool = list(combinations(range(n), 2))
+        graphs.append(hypergraph(2, n, rng.sample(pool, rng.randint(1, min(10, len(pool))))))
+    return graphs
+
+
+def test_closed_walks_equal_infragraph_tables():
+    # the infragraph route stays the oracle of the k = 2 tables
+    rng = random.Random(18)
+    cases = [(h, 7) for h in corpus(2, 4)] + [(K6_MINUS_P5, 8)]
+    for removed in DENSE_GRAPH_REMOVED:
+        perm = list(range(6))
+        rng.shuffle(perm)
+        dense = hypergraph(2, 6, [e for e in combinations(range(6), 2) if e not in removed])
+        cases.append((dense.relabel(perm), 8))
+    cases += [(hypercycle(2, m), 12) for m in range(3, 9)]
+    cases += [(h, 8) for h in _random_graphs(19, 60)]
+    for h, d_max in cases:
+        for d in range(d_max + 1):
+            assert _closed_walk_components(h, d) == structural_components(h, d), (h, d)
+
+
+def test_closed_walks_equal_bruteforce_and_matrix_powers():
+    for h in corpus(2, 4):
+        for d in range(7):
+            assert _closed_walk_components(h, d) == brute_components(h, d), (h, d)
+    for h in corpus(2, 4) + _random_graphs(20, 20) + [K6_MINUS_P5]:
+        for d in range(9):
+            assert trace(h, d) == matrix_power_trace(h, d), (h, d)
+
+
+def test_graph_moments_skip_the_walk():
+    # k = 2 moments come from closed walks: no infragraph table, no rooting
+    for cache in (_structural_components_cached, _infragraph_table, _rooted_tree_weight):
+        cache.cache_clear()
+    k6 = hypergraph(2, 6, list(combinations(range(6), 2)))
+    assert [trace(k6, d) for d in range(11)] == [matrix_power_trace(k6, d) for d in range(11)]
+    assert _infragraph_table.cache_info().misses == 0
+    assert _rooted_tree_weight.cache_info().misses == 0
+
+
+def test_closed_walk_budget(monkeypatch, capsys):
+    # hypercycle(2, 5) at order 8: each start vertex makes 1 + 3 + 5 * 6 = 34
+    # vertex steps, so a cap of 100 is passed at the third start vertex
+    monkeypatch.setattr(trace_module, "MAX_WALK_NODES", 100)
+    _structural_components_cached.cache_clear()
+    with pytest.raises(BudgetExceeded) as info:
+        trace(hypercycle(2, 5), 8)
+    ctx = info.value.context
+    assert (ctx["k"], ctx["n"], ctx["m"], ctx["d"]) == (2, 5, 5, 8)
+    assert 100 < ctx["steps"] <= 3 * 34
+    assert "passed 100 vertex steps at start vertex 2" in str(info.value)
+    # the CLI walks orders 0..8: order 5 takes 5 * 19 = 95 steps, order 6 passes the cap
+    code = cli.main(["trace", "--family", "hypercycle", "--k", "2", "--m", "5", "--d", "8"])
+    out, err = capsys.readouterr()
+    assert (code, out) == (3, "")
+    assert "closed walks of a 2-graph with n=5, m=5 to order 6 passed 100 vertex steps" in err
+    assert "steps so far" in err
+
+
+def test_walk_keeps_off_the_recursion_limit():
+    # K4^(3) with a 1,100-edge linear path attached cannot be peeled, and the
+    # walk once recursed per edge; the closed forms do not use the walk
+    path = [(2 * j + 3, 2 * j + 4, 2 * j + 5) for j in range(1100)]
+    h = hypergraph(3, 2204, list(combinations(range(4), 3)) + path)
+    assert h.m == 1104 and not _peelable(h)
+    for d in (3, 4):
+        assert trace(h, d) == trace_closed(h, d), d
