@@ -68,18 +68,18 @@ Conversely, any connected edge set S with multiplicities k * c_j, c_j
 are its connected edge sets S with |S| <= e/k, each with k times every
 composition of e/k into |S| positive parts, and there are none unless k
 divides e (``_peeled_vectors``; ``structural_components`` asks only for
-those e).  Every other host gets a walk over the edges in order that
-fixes one multiplicity per edge (``_veblen_vectors``): an edge that is
-the last one at some vertex may only take multiplicities that make
-that vertex's degree a multiple of k, so the walk steps through one
-residue class mod k, and it ends a branch as soon as the e rows are
-spent.  It carries the residue deficit D = sum_v (-deg_F(v) mod k) of
-the rows placed so far and cuts a branch with D > k * (rows left).
-A candidate is connected when its edges' vertex bitmasks join into one
-union.  Either source hands each infragraph's deg_F to the table with
-its rows.  Either is capped at ``MAX_WALK_NODES`` nodes per (host, e)
-and raises ``BudgetExceeded`` with (k, n, m, e, nodes, infragraphs so
-far) past it.
+those e).  Every other host gets a walk that fixes one multiplicity per
+edge (``_veblen_vectors``) in closing order: take a vertex in the fewest
+remaining edges, list those edges, repeat.  An edge that is the last
+one at some vertex may only take multiplicities that make its degree a
+multiple of k, so the walk steps through one residue class mod k there,
+and it ends a branch once the e rows are spent.  It carries the residue
+deficit D = sum_v (-deg_F(v) mod k) of the rows placed so far and cuts a
+branch with D > k * (rows left).  A candidate is connected when its
+edges' vertex bitmasks join into one union.  Either source hands each
+infragraph's deg_F to the table with its rows.  Either is capped at
+``MAX_WALK_NODES`` nodes per (host, e) and raises ``BudgetExceeded``
+with (k, n, m, e, nodes, infragraphs so far) past it.
 
 Deficit cut.  No branch with D > k * (rows left) completes.  Proof.  A
 vertex of nonzero residue r_v is open (the walk closed every other one
@@ -102,6 +102,21 @@ complete digraph on its vertices.  An in-arborescence is one in each
 block, rooted at the block's vertex nearest the root, and any such
 choice glues to one; a block is Eulerian, so its count, c_j^{k-1}
 k^{k-2} by Cayley, does not depend on that vertex.  []
+
+Exterior pass.  Any other shape is rooted in one pass over its vertices
+(``_rooted_tree_weight``), relabelled 0..|V|-1 in closing order (next,
+the vertex that leaves the fewest edges part-visited): vertex v takes
+c_j of the rows edge j has left, deg_F(v)/k in all, and all of them
+where v is j's last vertex.  Proof.  Along the vertex order,
+multinomial(mu_j; rooting of j) is the product of the binomials C(rows
+left, c_j).  A rooting's arc digraph has in- and out-degree (k-1)
+deg_F(v)/k at each v, so its out-Laplacian has zero row and column sums
+and equal cofactors, and its in-arborescence count is det L
+(matrix-tree theorem), L that Laplacian with row 0 set to e_0; row v
+has (k-1) deg_F(v)/k at v and -c_j at each other vertex of edge j.  det is multilinear and
+alternating in the rows, so it is the top coefficient of their wedge,
+and a row depends only on v's choice and the rows each edge has left
+(the state): adding the wedges of equal states is exact.  []
 
 Graphs.  For k = 2 the tensor is the matrix M = alpha D + (1-alpha) A,
 and ``trace`` reads the table off closed walks
@@ -423,33 +438,48 @@ Infragraph = tuple[tuple[int, ...], tuple[int, ...], dict[int, int]]
 
 def _veblen_vectors(h: Hypergraph, total: int) -> list[Infragraph]:
     """(edge_indices, multiplicities, deg_F) of all connected k-valent
-    infragraphs with total multiplicity exactly ``total``, in lexicographic
-    order of the multiplicity vector; deg_F maps each vertex of F to its
-    degree there.
+    infragraphs with total multiplicity exactly ``total``, supports sorted
+    by host index, in lexicographic order of the host-indexed multiplicity
+    vector; deg_F maps each vertex of F to its degree there.
 
-    Edge i closes the vertices whose last edge it is, so its multiplicity
-    must be -deg(v) mod k for each of them: the walk steps through that
-    residue class only, and stops at once where two closing vertices
-    disagree.  It carries the residue deficit D, the sum over vertices of
-    -deg_F(v) mod k, and cuts a child with D > k * (rows left): a vertex
-    of residue r needs r more incidences, and each row left gives only k
-    (the module docstring has the whole proof).  D moves only when a
-    non-closing edge steps by 1, and once per closing edge.  A child that
-    spends the last rows is checked in place (D = 0, then its edges'
-    vertex bitmasks must join), and the last edge takes exactly the rows
-    left.  Each visited partial assignment counts against
-    ``MAX_WALK_NODES``.
+    The walk takes the edges in closing order (module docstring).  Edge i
+    closes the vertices whose last edge it is, so its multiplicity must be
+    -deg(v) mod k for each of them: the walk steps through that residue
+    class only, and stops at once where two closing vertices disagree.  It
+    carries the residue deficit D and cuts a child with D > k * (rows
+    left); D moves only when a non-closing edge steps by 1, and once per
+    closing edge.  A child that spends the last rows is checked in place
+    (D = 0, then its edges' vertex bitmasks must join), and the last edge
+    takes exactly the rows left.  Each visited partial assignment counts
+    against ``MAX_WALK_NODES``.
     """
-    m, k, edges = h.m, h.k, h.edges
+    m, k = h.m, h.k
     if m == 0 or total < 1:
         return []
-    last_edge = {}
-    for i, e in enumerate(edges):
+    at: list[list[int]] = [[] for _ in range(h.n)]
+    for i, e in enumerate(h.edges):
         for v in e:
-            last_edge[v] = i
-    close_at: list[list[int]] = [[] for _ in range(m)]
-    for v, i in last_edge.items():
-        close_at[i].append(v)
+            at[v].append(i)
+    count = [len(a) for a in at]
+    buckets: list[list[int]] = [[] for _ in range(m + 1)]
+    for v, c in enumerate(count):
+        buckets[c].append(v)
+    order, close_at, taken, low = [], [], [False] * m, 1
+    while len(order) < m:  # close a vertex in the fewest remaining edges
+        low = next(c for c in range(low, m + 1) if buckets[c])
+        v = buckets[low].pop()
+        for i in at[v] if count[v] == low else ():  # else a stale entry
+            if not taken[i]:
+                taken[i] = True
+                order.append(i)
+                close_at.append([])  # the vertices whose last edge this is
+                for x in h.edges[i]:
+                    count[x] -= 1
+                    buckets[count[x]].append(x)
+                    low = min(low, count[x] or low)
+                    if not count[x]:
+                        close_at[-1].append(x)
+    edges = [h.edges[i] for i in order]
     masks = [sum(1 << v for v in e) for e in edges]
     deg = [0] * h.n
     mu = [0] * m
@@ -458,10 +488,9 @@ def _veblen_vectors(h: Hypergraph, total: int) -> list[Infragraph]:
 
     def leaf(i: int):
         # every residue is 0 and edges 0..i hold all the rows
-        support = [j for j in range(i + 1) if mu[j]]
-        if _joined([masks[j] for j in support]):
-            found.append((tuple(support), tuple(mu[j] for j in support),
-                          {v: deg[v] for j in support for v in edges[j]}))
+        if _joined([masks[j] for j in range(i + 1) if mu[j]]):
+            support, mult = zip(*sorted((order[j], mu[j]) for j in range(i + 1) if mu[j]))
+            found.append((support, mult, {v: deg[v] for j in support for v in h.edges[j]}))
 
     # The walk keeps (rows left, deficit, count c, step) of each open edge
     # below the current one on an explicit stack, not the interpreter's, so
@@ -496,8 +525,8 @@ def _veblen_vectors(h: Hypergraph, total: int) -> list[Infragraph]:
                 deg[v] += c
         while True:
             if advance:  # edge i is done: step its parent to the next count
-                if not stack:
-                    return found
+                if not stack:  # in lexicographic order of the host-indexed mu
+                    return sorted(found, key=lambda f: [(-j, c) for j, c in zip(f[0], f[1])])
                 i -= 1
                 e = edges[i]
                 budget, deficit, c, step = stack.pop()
@@ -547,56 +576,67 @@ def _infragraph_shape(
 
 
 @lru_cache(maxsize=TRACE_CACHE_SIZE)
+def _splits(q: int, bounds: tuple[tuple[int, int], ...]) -> tuple[tuple[int, ...], ...]:
+    """The vectors c with sum q and lo <= c_j <= hi for each (lo, hi) in ``bounds``."""
+    if not bounds:
+        return () if q else ((),)
+    (lo, hi), rest = bounds[0], bounds[1:]
+    return tuple((c, *tail) for c in range(max(lo, q - sum(b for _, b in rest)), min(hi, q) + 1)
+                 for tail in _splits(q - c, rest))
+
+
+@lru_cache(maxsize=TRACE_CACHE_SIZE)
 def _rooted_tree_weight(shape: Shape) -> int:
     """W' of an infragraph shape: the sum, over every way to root its edge
     rows (row (e, mu) stands for mu rows of edge e, and vertex v roots
     deg_F(v)/k of them, k the row length), of the in-arborescence count of
     the induced arc digraph times prod_j multinomial(mu_j; rooting of edge
-    j).  0 when no rooting exists.  Shared by every hypergraph and order."""
-    k = len(shape[0][0])
-    edges = [e for e, _ in shape]
-    verts = list(range(1 + max(v for e in edges for v in e)))
-    deg_f = [0] * len(verts)
-    last = [0] * len(verts)
-    for j, (e, c) in enumerate(shape):
-        for v in e:
-            deg_f[v] += c
-            last[v] = j
-    left = [r // k for r in deg_f]
-    arcs: dict[tuple[int, int], int] = defaultdict(int)
-    total = 0
-
-    def root(j: int, weight: int):
-        nonlocal total
-        if j == len(edges):
-            total += weight * count_in_arborescences(arcs, verts, 0)
-        else:
-            place(j, 0, shape[j][1], weight)
-
-    def place(j: int, vi: int, rows: int, weight: int):
-        # vertex v = edges[j][vi] roots c of edge j's ``rows`` unrooted rows
-        e = edges[j]
-        v = e[vi]
-        lo = rows if vi == len(e) - 1 else 0
-        if last[v] == j:
-            lo = max(lo, left[v])  # no later edge can meet v's quota
-        for c in range(lo, min(rows, left[v]) + 1):
-            left[v] -= c
-            for x in e:
-                if x != v:
-                    arcs[(v, x)] += c
-            w = weight * math.comb(rows, c)
-            if vi == len(e) - 1:
-                root(j + 1, w)
-            else:
-                place(j, vi + 1, rows - c, w)
-            left[v] += c
-            for x in e:
-                if x != v:
-                    arcs[(v, x)] -= c
-
-    root(0, 1)
-    return total
+    j).  0 when no rooting exists.  Shared by every hypergraph and order.
+    By the exterior pass (module docstring): a state's wedge is a dict from
+    column bitmask to integer, and every (state, choice) step counts
+    against ``MAX_WALK_NODES``, a state's before the first is taken.
+    """
+    k, n = len(shape[0][0]), 1 + max(e[-1] for e, _ in shape)
+    masks, seen, pos = [sum(1 << x for x in e) for e, _ in shape], 0, {}
+    while len(pos) < n:  # next, the vertex that leaves the fewest edges part-visited
+        v = min((x for x in range(n) if x not in pos),
+                key=lambda x: sum(0 != m & (seen | 1 << x) != m for m in masks))
+        pos[v], seen = len(pos), seen | 1 << v
+    ordered = tuple(sorted((tuple(sorted(pos[v] for v in e)), c) for e, c in shape))
+    if ordered != shape:  # relabelled in visit order, it shares the cache
+        return _rooted_tree_weight(ordered)
+    at = [[(j, e) for j, (e, _) in enumerate(shape) if v in e] for v in range(n)]
+    states, steps = {tuple(c for _, c in shape): {0: 1}}, 0
+    for v in range(n):
+        q = sum(shape[j][1] for j, _ in at[v]) // k
+        edges = [(j, e[-1] == v, [x for x in e if x not in (0, v)]) for j, e in at[v]]
+        grown: dict[tuple[int, ...], dict[int, int]] = {}
+        for left, wedge in states.items():
+            live = [(j, xs) for j, _, xs in edges if left[j]]
+            splits = _splits(q, tuple((left[j] * last, left[j]) for j, last, _ in edges if left[j]))
+            steps += len(splits)
+            if steps > MAX_WALK_NODES:
+                rows = sum(c for _, c in shape)
+                raise BudgetExceeded(
+                    f"rooting of an infragraph shape with {n} vertices and {rows} edge rows passed "
+                    f"{MAX_WALK_NODES} steps at vertex {v}; states so far: {len(grown)}",
+                    {"vertices": n, "rows": rows, "vertex": v, "states": len(grown)})
+            for split in splits:
+                rest, weight, row = list(left), 1, {v: (k - 1) * q}
+                for (j, xs), c in zip(live, split):
+                    weight *= math.comb(left[j], c)
+                    rest[j] -= c
+                    for x in xs if c else ():
+                        row[x] = row.get(x, 0) - c
+                out = grown.setdefault(tuple(rest), {})
+                for mask, a in wedge.items():
+                    a *= weight
+                    for x, b in row.items() if v else ((0, 1),):  # the root's row is e_0
+                        if not mask >> x & 1:
+                            new, t = mask | 1 << x, -a * b if (mask >> x).bit_count() & 1 else a * b
+                            out[new] = out.get(new, 0) + t
+        states = grown
+    return sum(wedge.get((1 << n) - 1, 0) for wedge in states.values())
 
 
 def _infragraph_weight(

@@ -13,7 +13,10 @@ kept when each vertex degree is a multiple of k and the rows used are
 connected.  ``enumerate_veblen`` wraps its results as objects, and
 ``rooted_tree_weight`` roots one of them on the host's own labels; the
 production route reaches the same infragraphs through a pruned walk and
-the same weights through infragraph shapes.
+the same weights through infragraph shapes.  ``rooted_shape_weight_enumerated``
+roots a shape rooting by rooting with one determinant each, fast enough
+for the shapes of dense hosts, where production sums all rootings in one
+exterior pass.
 
 ``Assignment`` and ``from_assignment`` spell out one index assignment
 of the brute-force moment sum and the arc digraph it induces;
@@ -253,6 +256,59 @@ def rooted_tree_weight(f: VeblenInfragraph) -> int:
             weight *= ways
         if rooted == quota:
             total += weight * count_in_arborescences(arcs, verts, verts[0])
+    return total
+
+
+def rooted_shape_weight_enumerated(shape) -> int:
+    """W' of an infragraph shape, rooting by rooting: edge by edge, each
+    vertex of the edge takes some of its unrooted rows (the last vertex
+    takes the rest, and a vertex at its last edge meets its quota), then
+    each complete rooting adds its in-arborescence count (Bareiss) times
+    prod_j multinomial(mu_j; rooting of edge j).  Production roots shapes
+    in one exterior pass over their vertices instead."""
+    k = len(shape[0][0])
+    edges = [e for e, _ in shape]
+    verts = list(range(1 + max(v for e in edges for v in e)))
+    deg_f = [0] * len(verts)
+    last = [0] * len(verts)
+    for j, (e, c) in enumerate(shape):
+        for v in e:
+            deg_f[v] += c
+            last[v] = j
+    left = [r // k for r in deg_f]
+    arcs: dict[tuple[int, int], int] = defaultdict(int)
+    total = 0
+
+    def root(j: int, weight: int):
+        nonlocal total
+        if j == len(edges):
+            total += weight * count_in_arborescences(arcs, verts, 0)
+        else:
+            place(j, 0, shape[j][1], weight)
+
+    def place(j: int, vi: int, rows: int, weight: int):
+        # vertex v = edges[j][vi] roots c of edge j's ``rows`` unrooted rows
+        e = edges[j]
+        v = e[vi]
+        lo = rows if vi == len(e) - 1 else 0
+        if last[v] == j:
+            lo = max(lo, left[v])  # no later edge can meet v's quota
+        for c in range(lo, min(rows, left[v]) + 1):
+            left[v] -= c
+            for x in e:
+                if x != v:
+                    arcs[(v, x)] += c
+            w = weight * math.comb(rows, c)
+            if vi == len(e) - 1:
+                root(j + 1, w)
+            else:
+                place(j, vi + 1, rows - c, w)
+            left[v] += c
+            for x in e:
+                if x != v:
+                    arcs[(v, x)] -= c
+
+    root(0, 1)
     return total
 
 

@@ -198,6 +198,22 @@ def test_trace_walk_budget_exit(monkeypatch, capsys, tmp_path):
     assert "infragraphs found so far" in err
 
 
+def test_trace_rooting_budget_exit(monkeypatch, capsys, tmp_path):
+    # K4^(3) minus an edge: its walk stays under 30 nodes per e through
+    # order 9, where one infragraph shape takes 39 rooting steps
+    trace_module = importlib.import_module("alphatrace.trace")
+    monkeypatch.setattr(trace_module, "MAX_WALK_NODES", 30)
+    for cache in ("_infragraph_table", "_structural_components_cached", "_rooted_tree_weight"):
+        getattr(trace_module, cache).cache_clear()
+    path = tmp_path / "k4minus.json"
+    path.write_text(json.dumps({"k": 3, "n": 4, "edges": [[0, 1, 2], [0, 1, 3], [0, 2, 3]]}))
+    code, out, err = run(capsys, "trace", "--input", str(path), "--d", "9")
+    assert code == 3
+    assert out == ""
+    assert "rooting of an infragraph shape with 4 vertices and 9 edge rows passed 30 steps" in err
+    assert "states so far" in err
+
+
 def test_byte_stable_output(capsys):
     args = ("sort", "--class", "hypertree", "--k", "3", "--m", "4", "--alpha", "1/2",
             "--format", "json")

@@ -47,6 +47,7 @@ from conftest import corpus, fractions_calls
 from reference import (
     enumerate_veblen,
     lemma_sum_reference,
+    rooted_shape_weight_enumerated,
     rooted_tree_weight,
     veblen_vectors_reference,
 )
@@ -686,3 +687,127 @@ def test_walk_keeps_off_the_recursion_limit():
     assert h.m == 1104 and not _peelable(h)
     for d in (3, 4):
         assert trace(h, d) == trace_closed(h, d), d
+
+
+# ---------------------------------------------------------------------------
+# k >= 3 generic hosts: the exterior rooting pass and the closing-order walk
+# ---------------------------------------------------------------------------
+
+# the k = 3 structures of the dense benchmark: the complete 3-graph on 6 vertices minus these
+DENSE_3GRAPH_REMOVED = (
+    [(0, 1, 5), (0, 4, 5), (1, 2, 3), (1, 3, 5), (1, 4, 5), (2, 3, 4), (2, 3, 5), (3, 4, 5)],
+    [(0, 1, 2), (0, 1, 5), (0, 4, 5), (1, 3, 4), (1, 3, 5), (1, 4, 5), (2, 3, 5), (3, 4, 5)],
+    [(0, 1, 2), (0, 1, 4), (0, 1, 5), (0, 4, 5), (1, 2, 3), (1, 3, 4), (1, 3, 5), (2, 4, 5)],
+)
+
+
+def _dense_3graphs(seed, relabellings):
+    """Each k = 3 dense structure under ``relabellings`` seeded vertex permutations."""
+    rng = random.Random(seed)
+    graphs = []
+    for removed in DENSE_3GRAPH_REMOVED:
+        base = hypergraph(3, 6, [e for e in combinations(range(6), 3) if e not in removed])
+        for _ in range(relabellings):
+            perm = list(range(6))
+            rng.shuffle(perm)
+            graphs.append(base.relabel(perm))
+    return graphs
+
+
+def _tight_cycle(n):
+    return hypergraph(3, n, [(i, (i + 1) % n, (i + 2) % n) for i in range(n)])
+
+
+def _rooted_shapes(h, max_e):
+    """The shapes of h's infragraphs with at most max_e rows that are rooted by shape."""
+    return {
+        _infragraph_shape(h, support, mu, deg_f)
+        for e in range(1, max_e + 1)
+        for support, mu, deg_f in _veblen_vectors(h, e)
+        if len(deg_f) != (h.k - 1) * len(support) + 1
+    }
+
+
+def test_exterior_pass_matches_enumerated_rooting():
+    # the one-pass rooting against the reference's rooting-by-rooting enumeration
+    _rooted_tree_weight.cache_clear()
+    complete3 = _rooted_shapes(hypergraph(3, 6, list(combinations(range(6), 3))), 8)
+    complete4 = _rooted_shapes(hypergraph(4, 6, list(combinations(range(6), 4))), 9)
+    assert (len(complete3), len(complete4)) == (546, 117)
+    shapes = complete3 | complete4
+    for h in _dense_3graphs(21, 2):
+        shapes |= _rooted_shapes(h, 8)
+    for n in range(6, 13):
+        shapes |= _rooted_shapes(_tight_cycle(n), 12)
+    shapes |= {tuple((e, 1) for e in combinations(range(k + 1), k)) for k in range(2, 7)}
+    for shape in shapes:
+        assert _rooted_tree_weight(shape) == rooted_shape_weight_enumerated(shape), shape
+    # deg_F = 1 is no multiple of k = 3, so no vertex may root the one row
+    assert _rooted_tree_weight((((0, 1, 2), 1),)) == 0
+    assert rooted_shape_weight_enumerated((((0, 1, 2), 1),)) == 0
+
+
+def test_rooting_budget(monkeypatch):
+    # K4^(3) minus an edge cannot be peeled.  Through e = 9 its walk visits at
+    # most 22 nodes per e, but one shape with 9 rows takes 39 rooting steps.
+    h = hypergraph(3, 4, [(0, 1, 2), (0, 1, 3), (0, 2, 3)])
+    monkeypatch.setattr(trace_module, "MAX_WALK_NODES", 30)
+    for cache in (_structural_components_cached, _infragraph_table, _rooted_tree_weight):
+        cache.cache_clear()
+    for d in range(9):
+        structural_components(h, d)
+    with pytest.raises(BudgetExceeded) as info:
+        structural_components(h, 9)
+    ctx = info.value.context
+    assert (ctx["vertices"], ctx["rows"]) == (4, 9)
+    assert 0 <= ctx["vertex"] < 4 and ctx["states"] >= 0
+    assert "rooting of an infragraph shape with 4 vertices and 9 edge rows passed 30 steps" in str(
+        info.value
+    )
+    # the tight 6-cycle with every edge twice takes 128 steps; without making
+    # each edge's last vertex take the rows left, dead states raise it to 335
+    cycle = _tight_cycle(6)
+    count = _NodeCount()
+    monkeypatch.setattr(trace_module, "MAX_WALK_NODES", count)
+    _rooted_tree_weight.cache_clear()
+    deg_f = {v: 6 for v in range(6)}
+    _rooted_tree_weight(_infragraph_shape(cycle, tuple(range(6)), (2,) * 6, deg_f))
+    assert count.nodes == 128
+
+
+class _NodeCount:
+    """Stands in for ``MAX_WALK_NODES``: never passed, it keeps the largest
+    count checked against it (``nodes > cap`` asks ``cap < nodes``)."""
+
+    def __init__(self):
+        self.nodes = 0
+
+    def __lt__(self, nodes):
+        self.nodes = max(self.nodes, nodes)
+        return False
+
+
+def test_closing_order_bounds_dense_walk(monkeypatch):
+    # closing vertices early makes the walk nearly label-free: these nine
+    # hosts take 10,290 to 10,464 nodes over e = 3..8, against 10,676 to
+    # 18,540 when the walk took the edges in host-index order
+    for h in _dense_3graphs(22, 3):
+        total = 0
+        for e in range(3, 9):
+            count = _NodeCount()
+            monkeypatch.setattr(trace_module, "MAX_WALK_NODES", count)
+            found = _veblen_vectors(h, e)
+            total += count.nodes
+            # the list the walk returned in host-index order: supports sorted,
+            # lexicographic in the host-indexed multiplicity vector, and deg_F
+            # built along the sorted support
+            vectors = []
+            for support, mu, deg_f in found:
+                assert list(support) == sorted(support)
+                assert list(deg_f) == list(dict.fromkeys(v for i in support for v in h.edges[i]))
+                vector = [0] * h.m
+                for i, c in zip(support, mu):
+                    vector[i] = c
+                vectors.append(vector)
+            assert vectors == sorted(vectors)
+        assert total <= 10_600, (h, total)
