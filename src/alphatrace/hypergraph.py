@@ -14,8 +14,8 @@ repeated edge is an error.  An optional ``mult`` list is accepted only
 when every entry is 1.
 
 One leaf-layer peel of the incidence graph (``_peel``) gives the canonical
-key, class, girth and diameter; ``girth`` needs a connected input of
-cyclomatic number at most 1, ``diameter`` a hypertree.
+key, class, girth, diameter and its own domain (connected, cyclomatic
+number at most 1); ``girth`` needs that domain, ``diameter`` a hypertree.
 """
 
 from __future__ import annotations
@@ -154,13 +154,12 @@ def _peel(h: Hypergraph) -> tuple[list[list[int]], list[int], list[int]]:
     node's parent (the node it was peeled into; -1 in the core) and the
     core: a hypertree's center, or a unicyclic hypergraph's cycle in
     order.  Defined on connected inputs with n >= 1 and cyclomatic number
-    at most 1 (k*m <= n+m); anything else raises ``UnsupportedError``."""
+    at most 1 (k*m <= n+m); anything else raises ``UnsupportedError``.
+    The core decides: each component leaves a node, and one of cyclomatic
+    number 2 or more a node of degree 3 or more, so the input is in the
+    domain exactly when one node is left, or one cycle of degree-2 nodes."""
     k, n, edges = h.k, h.n, h.edges
     total = n + len(edges)
-    if n == 0 or k * len(edges) > total or not is_connected(h):
-        raise UnsupportedError(
-            f"needs a connected hypertree or unicyclic hypergraph, got k={k}, n={n}, m={total - n}"
-        )
     deg = [0] * n + [k] * (total - n)
     link = [0] * total  # the sum of each node's neighbours not yet peeled
     for node, e in enumerate(edges, n):
@@ -184,12 +183,17 @@ def _peel(h: Hypergraph) -> tuple[list[list[int]], list[int], list[int]]:
                 nxt.append(p)
         layer = [p for p in nxt if deg[p] == 1]  # the center ends at degree 0
     core = [x for x in range(total) if parent[x] < 0]
-    if len(core) > 1:  # a cycle, each node linking its two neighbours: walk it from an edge node
+    cycle = core[:1]
+    if len(core) > 1 and all(deg[x] == 2 for x in core):
+        # cycles, each node linking its two neighbours: walk one from an edge node
         cycle = [next(v for v in edges[core[-1] - n] if parent[v] < 0), core[-1]]
-        while len(cycle) < len(core):
-            cycle.append(link[cycle[-1]] - cycle[-2])
-        core = cycle
-    return layers, parent, core
+        while (x := link[cycle[-1]] - cycle[-2]) != cycle[0]:
+            cycle.append(x)
+    if not core or len(cycle) < len(core):
+        raise UnsupportedError(
+            f"needs a connected hypertree or unicyclic hypergraph, got k={k}, n={n}, m={total - n}"
+        )
+    return layers, parent, cycle
 
 
 def girth(h: Hypergraph) -> int | None:
@@ -224,22 +228,18 @@ class Classification:
 
 
 def classify(h: Hypergraph) -> Classification:
-    """Hypertree / linear unicyclic (with girth) / other.
-
-    A connected hypergraph on n = m(k-1)+1 vertices is acyclic; a
-    connected one on n = m(k-1) >= 1 vertices carries exactly one Berge
-    cycle (its incidence graph has cyclomatic number 1), and is linear
-    exactly when that cycle's length is at least 3.
-    """
-    if not is_connected(h):
+    """Hypertree / linear unicyclic (with girth) / other, read off one
+    ``_peel``: a hypertree leaves one node, a unicyclic hypergraph its
+    Berge cycle, which is linear exactly when it has at least 3 edges.
+    Outside the peel's domain the class is other."""
+    try:
+        core = _peel(h)[2]
+    except UnsupportedError:
         return Classification(OTHER)
-    if h.n == h.m * (h.k - 1) + 1:
+    if len(core) == 1:
         return Classification(HYPERTREE)
-    if h.n and h.n == h.m * (h.k - 1):
-        g = girth(h)
-        if g >= 3:
-            return Classification(LINEAR_UNICYCLIC, g)
-    return Classification(OTHER)
+    g = len(core) // 2
+    return Classification(LINEAR_UNICYCLIC, g) if g >= 3 else Classification(OTHER)
 
 
 def pendant_edges_at(h: Hypergraph, u: int) -> list[int]:

@@ -53,6 +53,16 @@ and hyperforests are peelable, and so is a unicyclic host in which
 each cycle edge has a vertex in no other cycle edge (every linear one
 with k >= 3); a k = 2 cycle and a complete graph are not.
 
+Both sources read the host's closing order (``_closing_order``, built
+once per host): take a vertex in the fewest remaining edges, list those
+edges, repeat; an edge *closes* the vertices whose last edge it is.  A
+host is peelable exactly when every edge closes a vertex (``_peelable``).
+Proof.  If so, delete the edges in closing order, each through a vertex
+it closes.  Conversely, a peelable host stays peelable as edges go (its
+deletion order still works on the rest), so while edges remain some
+vertex lies in exactly one of them; the closing order takes such a
+vertex first, and its one edge closes it.  []
+
 Lemma.  In a peelable host, every sub-multigraph F whose vertex degrees
 are all multiples of k has every edge multiplicity a multiple of k.
 
@@ -69,13 +79,12 @@ are its connected edge sets S with |S| <= e/k, each with k times every
 composition of e/k into |S| positive parts, and there are none unless k
 divides e (``_peeled_vectors``; ``structural_components`` asks only for
 those e).  Every other host gets a walk that fixes one multiplicity per
-edge (``_veblen_vectors``) in closing order: take a vertex in the fewest
-remaining edges, list those edges, repeat.  An edge that is the last
-one at some vertex may only take multiplicities that make its degree a
-multiple of k, so the walk steps through one residue class mod k there,
-and it ends a branch once the e rows are spent.  It carries the residue
-deficit D = sum_v (-deg_F(v) mod k) of the rows placed so far and cuts a
-branch with D > k * (rows left).  A candidate is connected when its
+edge (``_veblen_vectors``) in closing order.  An edge that closes a
+vertex may only take multiplicities that make its degree a multiple of
+k, so the walk steps through one residue class mod k there, and it ends
+a branch once the e rows are spent.  It carries the residue deficit D =
+sum_v (-deg_F(v) mod k) of the rows placed so far and cuts a branch with
+D > k * (rows left).  A candidate is connected when its
 edges' vertex bitmasks join into one union.  Either source hands each
 infragraph's deg_F to the table with its rows.  Either is capped at
 ``MAX_WALK_NODES`` nodes per (host, e) and raises ``BudgetExceeded``
@@ -165,9 +174,15 @@ MAX_ASSIGNMENT_CLASSES = 2_000_000
 MAX_WALK_NODES = 10_000_000
 TRACE_CACHE_SIZE = 16384
 
+def _spread(h: Hypergraph, j: int) -> int:
+    """(k-1)^{n-j}, what a term on j vertices takes from the other n - j;
+    0 where n < j, since no such term exists."""
+    return (h.k - 1) ** (h.n - j) if h.n >= j else 0
+
+
 def degree_moment(h: Hypergraph, d: int) -> int:
     """The d-th moment of the pure degree tensor: (k-1)^{n-1} sum deg^d."""
-    return (h.k - 1) ** (h.n - 1) * sum(x**d for x in h.degrees())
+    return _spread(h, 1) * sum(x**d for x in h.degrees())
 
 
 def phi(h: Hypergraph, s: int) -> AlphaPoly:
@@ -200,7 +215,7 @@ class _Star:
 def brute_components(h: Hypergraph, d: int) -> dict[tuple[int, int], Fraction]:
     """Moment table by direct enumeration of assignment classes, in Fraction."""
     if d == 0:
-        return {(0, 0): Fraction(h.n * (h.k - 1) ** (h.n - 1))}
+        return {(0, 0): Fraction(h.n * _spread(h, 1))}
     stars = [_Star(v, (v,) * (h.k - 1), True) for v in range(h.n)]
     stars += [_Star(r, tuple(x for x in e if x != r), False) for e in h.edges for r in e]
     S = len(stars)
@@ -284,7 +299,7 @@ def brute_components(h: Hypergraph, d: int) -> dict[tuple[int, int], Fraction]:
             imbalance += apply_star(st, -1)
 
     rec(0, d, 0)
-    scale = (h.k - 1) ** (h.n - 1)
+    scale = _spread(h, 1)
     return {key: value * scale for key, value in comp.items()}
 
 
@@ -319,12 +334,10 @@ def trace_decomposed(h: Hypergraph, d: int) -> tuple[AlphaPoly, AlphaPoly, Alpha
     """
     if d < 1:
         raise ValueError("decomposition defined for d >= 1")
-    scale = Fraction(1, (h.k - 1) ** (h.n - 1))
     parts: list[dict] = [{}, {}, {}]
-    for (t, e), value in brute_components(h, d).items():
-        parts[0 if e == 0 else 1 if t == 0 else 2][(t, e)] = value * scale
-    w1, w2, w3 = map(components_to_poly, parts)
-    return w1, w2, w3
+    for (t, e), value in brute_components(h, d).items():  # none when n = 0
+        parts[0 if e == 0 else 1 if t == 0 else 2][(t, e)] = value / _spread(h, 1)
+    return tuple(map(components_to_poly, parts))
 
 
 # ---------------------------------------------------------------------------
@@ -341,32 +354,42 @@ def _walk_budget(h: Hypergraph, total: int, nodes: int, found: int) -> BudgetExc
 
 
 @lru_cache(maxsize=TRACE_CACHE_SIZE)
-def _peelable(h: Hypergraph) -> bool:
-    """Whether h's edges can be deleted one at a time, each through a vertex
-    that lies in no other remaining edge.
-
-    One queue pass: a vertex in exactly one remaining edge names that edge
-    as the XOR of its remaining edges' indices, and stays in it alone
-    until the edge goes, so the order of deletion does not matter.
-    """
-    count = [0] * h.n
-    xor = [0] * h.n
+def _closing_order(h: Hypergraph) -> tuple[tuple, tuple, tuple]:
+    """The host's closing order (module docstring), built once per host:
+    (at, order, close_at), where at[v] lists the edges at vertex v, order
+    the edges in closing order, and close_at[i] the vertices whose last
+    edge is order[i]."""
+    m = h.m
+    at: list[list[int]] = [[] for _ in range(h.n)]
     for i, e in enumerate(h.edges):
         for v in e:
-            count[v] += 1
-            xor[v] ^= i
-    queue = [xor[v] for v in range(h.n) if count[v] == 1]
-    gone = [False] * h.m
-    for i in queue:
-        if gone[i]:
-            continue
-        gone[i] = True
-        for v in h.edges[i]:
-            count[v] -= 1
-            xor[v] ^= i
-            if count[v] == 1:
-                queue.append(xor[v])
-    return all(gone)
+            at[v].append(i)
+    count = [len(a) for a in at]
+    buckets: list[list[int]] = [[] for _ in range(m + 1)]
+    for v, c in enumerate(count):
+        buckets[c].append(v)
+    order, close_at, taken, low = [], [], [False] * m, 1
+    while len(order) < m:  # close a vertex in the fewest remaining edges
+        low = next(c for c in range(low, m + 1) if buckets[c])
+        v = buckets[low].pop()
+        for i in at[v] if count[v] == low else ():  # else a stale entry
+            if not taken[i]:
+                taken[i] = True
+                order.append(i)
+                close_at.append([])
+                for x in h.edges[i]:
+                    count[x] -= 1
+                    buckets[count[x]].append(x)
+                    low = min(low, count[x] or low)
+                    if not count[x]:
+                        close_at[-1].append(x)
+    return tuple(map(tuple, at)), tuple(order), tuple(map(tuple, close_at))
+
+
+def _peelable(h: Hypergraph) -> bool:
+    """Whether h is peelable: whether every edge of its closing order
+    closes a vertex (module docstring)."""
+    return all(_closing_order(h)[2])
 
 
 def _peeled_vectors(h: Hypergraph, total: int):
@@ -389,10 +412,7 @@ def _peeled_vectors(h: Hypergraph, total: int):
     q, r = divmod(total, k)
     if r or q < 1:
         return
-    at: list[list[int]] = [[] for _ in range(h.n)]
-    for i, e in enumerate(h.edges):
-        for v in e:
-            at[v].append(i)
+    at = _closing_order(h)[0]
     nbrs = [{j for v in e for j in at[v]} - {i} for i, e in enumerate(h.edges)]
     nodes = found = 0
     for root in range(h.m):
@@ -439,46 +459,24 @@ Infragraph = tuple[tuple[int, ...], tuple[int, ...], dict[int, int]]
 def _veblen_vectors(h: Hypergraph, total: int) -> list[Infragraph]:
     """(edge_indices, multiplicities, deg_F) of all connected k-valent
     infragraphs with total multiplicity exactly ``total``, supports sorted
-    by host index, in lexicographic order of the host-indexed multiplicity
-    vector; deg_F maps each vertex of F to its degree there.
+    by host index, in the order the walk finds them; deg_F maps each vertex
+    of F to its degree there.
 
-    The walk takes the edges in closing order (module docstring).  Edge i
-    closes the vertices whose last edge it is, so its multiplicity must be
-    -deg(v) mod k for each of them: the walk steps through that residue
-    class only, and stops at once where two closing vertices disagree.  It
-    carries the residue deficit D and cuts a child with D > k * (rows
-    left); D moves only when a non-closing edge steps by 1, and once per
-    closing edge.  A child that spends the last rows is checked in place
-    (D = 0, then its edges' vertex bitmasks must join), and the last edge
-    takes exactly the rows left.  Each visited partial assignment counts
-    against ``MAX_WALK_NODES``.
+    The walk takes the edges in the host's closing order (module docstring,
+    ``_closing_order``).  Edge i closes the vertices whose last edge it is,
+    so its multiplicity must be -deg(v) mod k for each of them: the walk
+    steps through that residue class only, and stops at once where two
+    closing vertices disagree.  It carries the residue deficit D and cuts
+    a child with D > k * (rows left); D moves only when a non-closing edge
+    steps by 1, and once per closing edge.  A child that spends the last
+    rows is checked in place (D = 0, then its edges' vertex bitmasks must
+    join), and the last edge takes exactly the rows left.  Each visited
+    partial assignment counts against ``MAX_WALK_NODES``.
     """
     m, k = h.m, h.k
     if m == 0 or total < 1:
         return []
-    at: list[list[int]] = [[] for _ in range(h.n)]
-    for i, e in enumerate(h.edges):
-        for v in e:
-            at[v].append(i)
-    count = [len(a) for a in at]
-    buckets: list[list[int]] = [[] for _ in range(m + 1)]
-    for v, c in enumerate(count):
-        buckets[c].append(v)
-    order, close_at, taken, low = [], [], [False] * m, 1
-    while len(order) < m:  # close a vertex in the fewest remaining edges
-        low = next(c for c in range(low, m + 1) if buckets[c])
-        v = buckets[low].pop()
-        for i in at[v] if count[v] == low else ():  # else a stale entry
-            if not taken[i]:
-                taken[i] = True
-                order.append(i)
-                close_at.append([])  # the vertices whose last edge this is
-                for x in h.edges[i]:
-                    count[x] -= 1
-                    buckets[count[x]].append(x)
-                    low = min(low, count[x] or low)
-                    if not count[x]:
-                        close_at[-1].append(x)
+    _, order, close_at = _closing_order(h)
     edges = [h.edges[i] for i in order]
     masks = [sum(1 << v for v in e) for e in edges]
     deg = [0] * h.n
@@ -525,8 +523,8 @@ def _veblen_vectors(h: Hypergraph, total: int) -> list[Infragraph]:
                 deg[v] += c
         while True:
             if advance:  # edge i is done: step its parent to the next count
-                if not stack:  # in lexicographic order of the host-indexed mu
-                    return sorted(found, key=lambda f: [(-j, c) for j, c in zip(f[0], f[1])])
+                if not stack:
+                    return found
                 i -= 1
                 e = edges[i]
                 budget, deficit, c, step = stack.pop()
@@ -801,22 +799,22 @@ def _clique_tree_weight(k: int) -> int:
 def trace_closed(h: Hypergraph, d: int) -> AlphaPoly:
     """Closed-form moment for 0 <= d <= k+2.  At d = k+2 the adjacency
     term comes from the structural route (see ``trace_k_plus_2``)."""
-    k, n = h.k, h.n
+    k = h.k
     if not 0 <= d <= k + 2:
         raise UnsupportedError(f"closed forms cover orders 0..k+2, got {d}")
     if d <= k - 1:
         return phi(h, d)
     if d == k:
-        return phi(h, k) + basis_term(0, k) * ((k - 1) ** (n - k) * k ** (k - 1) * h.m)
+        return phi(h, k) + basis_term(0, k) * (_spread(h, k) * k ** (k - 1) * h.m)
     if d == k + 1:
         deg2 = sum(x**2 for x in h.degrees())
         result = phi(h, k + 1) + basis_term(1, k) * (
-            (k + 1) * (k - 1) ** (n - k) * k ** (k - 2) * deg2
+            (k + 1) * _spread(h, k) * k ** (k - 2) * deg2
         )
         cliques = complete_subhypergraphs(h)
         if cliques:
             result = result + basis_term(0, k + 1) * (
-                (k + 1) * (k - 1) ** (n - k - 1) * _clique_tree_weight(k) * len(cliques)
+                (k + 1) * _spread(h, k + 1) * _clique_tree_weight(k) * len(cliques)
             )
         return result
     return trace_k_plus_2(h)
@@ -827,7 +825,7 @@ def trace_k_plus_2(h: Hypergraph) -> AlphaPoly:
     and the complete-subhypergraph tree-count term.  The adjacency part is the
     structural route's, so a brute-force cross-check here tests only the
     degree-correlation and clique terms."""
-    k, n = h.k, h.n
+    k = h.k
     d = k + 2
     deg = h.degrees()
     result = phi(h, d) + basis_term(0, d) * adjacency_moment(h, d)
@@ -839,12 +837,12 @@ def trace_k_plus_2(h: Hypergraph) -> AlphaPoly:
         )
         corr += pair_sum + sum(x**2 for x in ds)
     result = result + basis_term(2, k) * (
-        (k + 2) * (k - 1) ** (n - k) * k ** (k - 2) * corr
+        (k + 2) * _spread(h, k) * k ** (k - 2) * corr
     )
     cliques = complete_subhypergraphs(h)
     if cliques:
         degsum = sum(deg[v] for S in cliques for v in S)
         result = result + basis_term(1, k + 1) * (
-            (k + 2) * (k - 1) ** (n - k - 1) * _clique_tree_weight(k) * degsum
+            (k + 2) * _spread(h, k + 1) * _clique_tree_weight(k) * degsum
         )
     return result

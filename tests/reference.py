@@ -16,7 +16,9 @@ production route reaches the same infragraphs through a pruned walk and
 the same weights through infragraph shapes.  ``rooted_shape_weight_enumerated``
 roots a shape rooting by rooting with one determinant each, fast enough
 for the shapes of dense hosts, where production sums all rootings in one
-exterior pass.
+exterior pass.  ``peelable_reference`` peels a host by a queue of the
+vertices left in one edge, each naming that edge as an XOR of indices;
+production reads peelability off the closing order of its walk.
 
 ``Assignment`` and ``from_assignment`` spell out one index assignment
 of the brute-force moment sum and the arc digraph it induces;
@@ -52,13 +54,14 @@ import math
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations, combinations_with_replacement, permutations, product
 
 from alphatrace.digraph import MultiDigraph, count_in_arborescences, multidigraph
 from alphatrace.errors import BudgetExceeded, HypergraphError
 from alphatrace.hypergraph import Hypergraph, hypergraph, is_connected, is_linear
 from alphatrace.polynomial import AlphaPoly
-from alphatrace.trace import trace
+from alphatrace.trace import TRACE_CACHE_SIZE, trace
 
 MAX_VEBLEN_EDGES = 40
 
@@ -209,6 +212,35 @@ def veblen_vectors_reference(
         if reached == set(deg):
             found.append((tuple(support), tuple(mu[i] for i in support)))
     return sorted(found)
+
+
+@lru_cache(maxsize=TRACE_CACHE_SIZE)
+def peelable_reference(h: Hypergraph) -> bool:
+    """Whether h's edges can be deleted one at a time, each through a vertex
+    that lies in no other remaining edge.
+
+    One queue pass: a vertex in exactly one remaining edge names that edge
+    as the XOR of its remaining edges' indices, and stays in it alone
+    until the edge goes, so the order of deletion does not matter.
+    """
+    count = [0] * h.n
+    xor = [0] * h.n
+    for i, e in enumerate(h.edges):
+        for v in e:
+            count[v] += 1
+            xor[v] ^= i
+    queue = [xor[v] for v in range(h.n) if count[v] == 1]
+    gone = [False] * h.m
+    for i in queue:
+        if gone[i]:
+            continue
+        gone[i] = True
+        for v in h.edges[i]:
+            count[v] -= 1
+            xor[v] ^= i
+            if count[v] == 1:
+                queue.append(xor[v])
+    return all(gone)
 
 
 def enumerate_veblen(

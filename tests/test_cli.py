@@ -183,6 +183,20 @@ def test_enumerate_budget_exit(capsys):
     assert "budget" in err.lower()
 
 
+def test_trace_hosts_below_k_vertices(capsys, tmp_path):
+    # every route, cross-checked against the brute force, exits 0 on
+    # edgeless hosts with at most k vertices
+    for k in (2, 3, 4):
+        for n in range(k + 1):
+            path = tmp_path / f"empty-{k}-{n}.json"
+            path.write_text(json.dumps({"k": k, "n": n, "edges": []}))
+            for method in ("structural", "brute", "closed"):
+                code, out, err = run(capsys, "trace", "--input", str(path), "--d", str(k + 2),
+                                     "--method", method, "--cross-check")
+                assert (code, err) == (0, ""), (k, n, method, err)
+                assert f"  d={k + 2}: 0" in out
+
+
 def test_trace_walk_budget_exit(monkeypatch, capsys, tmp_path):
     # the complete 3-graph on 5 vertices cannot be peeled, so it takes the walk
     trace_module = importlib.import_module("alphatrace.trace")

@@ -1,3 +1,4 @@
+import hashlib
 import random
 import time
 from itertools import combinations
@@ -21,6 +22,7 @@ from alphatrace import (
     is_connected,
     is_linear,
 )
+from alphatrace.canon import canonical_form
 from alphatrace.enumeration import FamilyFilter, enumerate_family
 from alphatrace.families import add_pendant_edge
 from alphatrace.hypergraph import _peel, from_json_dict, loads, pendant_edges_at
@@ -151,6 +153,15 @@ def test_peel_invariants_match_bfs_reference():
         assert (c.kind, c.girth) == expected, h
 
 
+def _beside(*parts):
+    """The disjoint union of ``parts``, each relabelled past the ones before it."""
+    edges, n = [], 0
+    for h in parts:
+        edges += [tuple(v + n for v in e) for e in h.edges]
+        n += h.n
+    return hypergraph(parts[0].k, n, edges)
+
+
 def test_peel_domains():
     k4 = hypergraph(2, 4, list(combinations(range(4), 2)))
     for h in (k4, hypergraph(2, 4, [(0, 1), (2, 3)])):
@@ -160,6 +171,50 @@ def test_peel_domains():
         diameter(hypercycle(3, 4))
     # n = m(k-1) holds for the empty hypergraph too, but it has no cycle
     assert classify(hypergraph(3, 0, [])).kind == OTHER
+    # every disconnected shape with k*m <= n+m: the peel itself must find
+    # that what it left is not one node or one cycle
+    shared_pair = hypergraph(3, 5, [(0, 1, 2), (0, 1, 3), (0, 1, 4)])  # cyclomatic number 2
+    disconnected = [
+        _beside(hyperpath(3, 2), hyperstar(3, 3)),       # two trees
+        _beside(hyperpath(3, 2), hypergraph(3, 1, [])),  # a tree and an isolated vertex
+        _beside(hypercycle(3, 3), hyperpath(3, 1)),      # a unicyclic component and a tree
+        _beside(shared_pair, hyperpath(3, 2)),           # cyclomatic number 2 and a tree
+        _beside(hypercycle(3, 3), hypercycle(3, 4)),     # two cycles, every core node of degree 2
+        _beside(hypercycle(2, 3), hyperpath(2, 1)),
+        hypergraph(2, 3, []),
+    ]
+    for h in disconnected:
+        assert h.k * h.m <= h.n + h.m and not is_connected(h), h
+        for read in (canonical_form, girth):
+            with pytest.raises(UnsupportedError):
+                read(h)
+        assert classify(h).kind == OTHER
+        with pytest.raises(HypergraphError):
+            diameter(h)
+
+
+# sha256 of the canonical keys of every child the growths make, in growth
+# order, at k = 2 through m = 7, k = 3 through m = 6 and k = 4 through m = 5;
+# family members, their order and the verify goldens all rest on these keys
+GROWTH_CHILD_KEYS = "7b6ba577aeeec89fbcfbbede8d086ca19ba1b1be1eae32be51b47f351846d484"
+
+
+def test_growth_child_keys_unchanged():
+    digest = hashlib.sha256()
+    for k, top in ((2, 7), (3, 6), (4, 5)):
+        seeds = [(hyperpath(k, 0), top)] + [(hypercycle(k, g), top - g) for g in range(3, top + 1)]
+        for seed, steps in seeds:
+            layer = {canonical_form(seed): seed}
+            for _ in range(steps):
+                nxt = {}
+                for h in layer.values():
+                    for v in range(h.n):
+                        g = add_pendant_edge(h, v)
+                        key = canonical_form(g)
+                        digest.update(key)
+                        nxt.setdefault(key, g)
+                layer = nxt
+    assert digest.hexdigest() == GROWTH_CHILD_KEYS
 
 
 def test_connectivity():

@@ -31,6 +31,7 @@ from alphatrace.matrix_oracle import matrix_power_trace
 from alphatrace.polynomial import AlphaPoly, basis_term
 from alphatrace.trace import (
     _closed_walk_components,
+    _closing_order,
     _infragraph_shape,
     _infragraph_table,
     _infragraph_weight,
@@ -47,6 +48,7 @@ from conftest import corpus, fractions_calls
 from reference import (
     enumerate_veblen,
     lemma_sum_reference,
+    peelable_reference,
     rooted_shape_weight_enumerated,
     rooted_tree_weight,
     veblen_vectors_reference,
@@ -465,6 +467,45 @@ def test_peelable_table():
         assert _peelable(h) is peelable, h
 
 
+def test_hosts_below_k_vertices_stay_exact():
+    # (k-1)^{n-1} and (k-1)^{n-k} are no integers below n = 1 and n = k: every
+    # route still gives Tr_0 = n (k-1)^{n-1}, 0 at n = 0, and 0 at every
+    # higher order of an edgeless host, in integers
+    for k in (2, 3, 4):
+        for n in range(k + 1):
+            h = hypergraph(k, n, [])
+            for d in range(k + 3):
+                expected = AlphaPoly.constant(n * (k - 1) ** (n - 1) if n and not d else 0)
+                for route in (trace, trace_bruteforce, trace_closed):
+                    poly = route(h, d)
+                    assert poly == expected, (route, k, n, d)
+                    assert all(type(c) is int for c in poly.coeffs), (route, k, n, d)
+                if d:
+                    assert trace_decomposed(h, d) == (AlphaPoly.zero(),) * 3, (k, n, d)
+
+
+def test_closing_order_decides_peelability():
+    # every edge closes a vertex in the closing order exactly when the XOR
+    # queue peels the host: on the families, and on seeded random hosts,
+    # isolated vertices and edgeless hosts among them
+    hosts = [hypergraph(k, n, []) for k in (2, 3, 4) for n in range(k + 1)]
+    for k in (2, 3, 4):
+        for m in range(7):
+            hosts += enumerate_hypertrees(k, m) + enumerate_linear_unicyclic(k, m)
+    rng = random.Random(20)
+    pools = {(k, n): list(combinations(range(n), k)) for k in (2, 3, 4) for n in range(k, 10)}
+    for _ in range(20_000):
+        k = rng.choice((2, 3, 4))
+        n = rng.randint(k, 9)
+        pool = pools[k, n]
+        hosts.append(hypergraph(k, n, rng.sample(pool, rng.randint(0, min(12, len(pool))))))
+    verdicts = [_peelable(h) for h in hosts]
+    assert verdicts == [peelable_reference(h) for h in hosts]
+    assert min(verdicts.count(True), verdicts.count(False)) > 5000, verdicts.count(True)
+    _closing_order.cache_clear()
+    peelable_reference.cache_clear()
+
+
 def test_peeled_infragraphs_match_walk_and_reference():
     # the families at (2, 7), (3, 7) and (4, 6) through order 2k+4 against
     # the walk (at k = 2 only the trees are peelable); a seeded sample of
@@ -592,15 +633,27 @@ def test_tree_branch_off_gives_equal_tables(monkeypatch):
 
 def test_cold_hypertree_roots_nothing():
     # every infragraph of a hypertree is tree-supported, so a cold trace
-    # roots no shape, and the host is checked for peelability once
+    # roots no shape, and the host's closing order is built once
     h = hyperstar(3, 5)
     for cache in (_structural_components_cached, _infragraph_table, _rooted_tree_weight,
-                  _peelable):
+                  _closing_order):
         cache.cache_clear()
     for d in range(10):
         trace(h, d)
     assert _rooted_tree_weight.cache_info().misses == 0
-    assert _peelable.cache_info().misses == 1
+    assert _closing_order.cache_info().misses == 1
+
+
+def test_cold_walked_host_orders_once():
+    # the complete 3-graph on 5 vertices cannot be peeled: every order asks
+    # whether it can, and every edge-row count walks it, off one closing order
+    h = hypergraph(3, 5, list(combinations(range(5), 3)))
+    for cache in (_structural_components_cached, _infragraph_table, _closing_order):
+        cache.cache_clear()
+    for d in range(9):
+        trace(h, d)
+    assert not _peelable(h)
+    assert _closing_order.cache_info().misses == 1
 
 
 # ---------------------------------------------------------------------------
@@ -798,16 +851,8 @@ def test_closing_order_bounds_dense_walk(monkeypatch):
             monkeypatch.setattr(trace_module, "MAX_WALK_NODES", count)
             found = _veblen_vectors(h, e)
             total += count.nodes
-            # the list the walk returned in host-index order: supports sorted,
-            # lexicographic in the host-indexed multiplicity vector, and deg_F
-            # built along the sorted support
-            vectors = []
-            for support, mu, deg_f in found:
+            # supports sorted by host index, and deg_F built along the sorted support
+            for support, _, deg_f in found:
                 assert list(support) == sorted(support)
                 assert list(deg_f) == list(dict.fromkeys(v for i in support for v in h.edges[i]))
-                vector = [0] * h.m
-                for i, c in zip(support, mu):
-                    vector[i] = c
-                vectors.append(vector)
-            assert vectors == sorted(vectors)
         assert total <= 10_600, (h, total)
