@@ -14,6 +14,8 @@ from .polynomial import AlphaPoly
 
 
 def matrix_power_trace(h: Hypergraph, d: int) -> AlphaPoly:
+    if d < 0:
+        raise ValueError(f"moment order must be nonnegative, got {d}")
     if h.k != 2:
         raise HypergraphError("matrix oracle is defined for k = 2 only")
     n = h.n

@@ -78,24 +78,33 @@ Conversely, any connected edge set S with multiplicities k * c_j, c_j
 are its connected edge sets S with |S| <= e/k, each with k times every
 composition of e/k into |S| positive parts, and there are none unless k
 divides e (``_peeled_vectors``; ``structural_components`` asks only for
-those e).  Every other host gets a walk that fixes one multiplicity per
-edge (``_veblen_vectors``) in closing order.  An edge that closes a
-vertex may only take multiplicities that make its degree a multiple of
-k, so the walk steps through one residue class mod k there, and it ends
-a branch once the e rows are spent.  It carries the residue deficit D =
-sum_v (-deg_F(v) mod k) of the rows placed so far and cuts a branch with
-D > k * (rows left).  A candidate is connected when its
-edges' vertex bitmasks join into one union.  Either source hands each
-infragraph's deg_F to the table with its rows.  Either is capped at
-``MAX_WALK_NODES`` nodes per (host, e) and raises ``BudgetExceeded``
-with (k, n, m, e, nodes, infragraphs so far) past it.
+those e).  Every other host gets a walk (``_veblen_vectors``) over the
+edges in closing order, from each edge straight to the next one with a
+nonzero count.  Let r_v = -deg_F(v) mod k be v's residue under the rows
+placed so far (v is *open* while r_v > 0), D = sum_v r_v the residue
+deficit and L the rows left.  An edge passed over takes count 0, so the
+vertices it closes must be at residue 0 already: the candidates stop at
+the first edge that closes an open vertex.  An edge that closes vertices
+steps through their one residue class mod k.  A branch with its rows
+spent and no vertex open is an infragraph when its edges' vertex
+bitmasks join into one union; the recursion is as deep as the edges
+used, at most e.  Either source hands each infragraph's deg_F to the
+table with its rows.  Either is capped at ``MAX_WALK_NODES`` nodes per
+(host, e) and raises ``BudgetExceeded`` with (k, n, m, e, nodes,
+infragraphs so far) past it.
 
-Deficit cut.  No branch with D > k * (rows left) completes.  Proof.  A
-vertex of nonzero residue r_v is open (the walk closed every other one
-at residue 0) and needs at least r_v more incidences.  Each row left
-gives one incidence to each of k vertices, k * (rows left) in all,
-fewer than D.  A row lowers D by at most k, so once a count c on the
-current edge is cut, so is every larger c.  []
+Three cuts.  In a completion of a branch let a_v be the incidences v
+takes from the L rows left: a_v = r_v mod k with 0 <= r_v < k, so a_v -
+r_v is a nonnegative multiple of k; a_v <= L, as a row meets v at most
+once; and sum_v a_v = k L, so sum_v (a_v - r_v) = k L - D.  Hence
+* deficit cut: no branch with D > k L completes.  A row lowers D by at
+  most k and k L by exactly k, so once a count on an edge is cut, so is
+  every larger one;
+* short tail: if D < k L, some a_v >= r_v + k >= k, so L >= k; a branch
+  with L < k completes only if D = k L;
+* tight tail: if D = k L, every a_v = r_v, so each row left lies inside
+  the open vertices, a count on an edge is at most its least residue,
+  and D stays k L down the branch.  []
 
 Tree supports.  A connected support S is a hypertree exactly when
 |V(F)| = (k-1)|S| + 1.  Then mu_j = k c_j (the lemma; a hypertree is
@@ -180,15 +189,19 @@ def _spread(h: Hypergraph, j: int) -> int:
     return (h.k - 1) ** (h.n - j) if h.n >= j else 0
 
 
+def _check_order(d: int) -> None:
+    if d < 0:  # every moment entry point refuses a negative order alike
+        raise ValueError(f"moment order must be nonnegative, got {d}")
+
+
 def degree_moment(h: Hypergraph, d: int) -> int:
     """The d-th moment of the pure degree tensor: (k-1)^{n-1} sum deg^d."""
+    _check_order(d)
     return _spread(h, 1) * sum(x**d for x in h.degrees())
 
 
 def phi(h: Hypergraph, s: int) -> AlphaPoly:
     """(k-1)^{n-1} * (sum of deg^s) * alpha^s, the pure-degree monomial."""
-    if s < 0:
-        raise ValueError("s must be nonnegative")
     return AlphaPoly.monomial(s, degree_moment(h, s))
 
 
@@ -214,6 +227,7 @@ class _Star:
 
 def brute_components(h: Hypergraph, d: int) -> dict[tuple[int, int], Fraction]:
     """Moment table by direct enumeration of assignment classes, in Fraction."""
+    _check_order(d)
     if d == 0:
         return {(0, 0): Fraction(h.n * _spread(h, 1))}
     stars = [_Star(v, (v,) * (h.k - 1), True) for v in range(h.n)]
@@ -462,88 +476,69 @@ def _veblen_vectors(h: Hypergraph, total: int) -> list[Infragraph]:
     by host index, in the order the walk finds them; deg_F maps each vertex
     of F to its degree there.
 
-    The walk takes the edges in the host's closing order (module docstring,
-    ``_closing_order``).  Edge i closes the vertices whose last edge it is,
-    so its multiplicity must be -deg(v) mod k for each of them: the walk
-    steps through that residue class only, and stops at once where two
-    closing vertices disagree.  It carries the residue deficit D and cuts
-    a child with D > k * (rows left); D moves only when a non-closing edge
-    steps by 1, and once per closing edge.  A child that spends the last
-    rows is checked in place (D = 0, then its edges' vertex bitmasks must
-    join), and the last edge takes exactly the rows left.  Each visited
-    partial assignment counts against ``MAX_WALK_NODES``.
+    The walk and its cuts are in the module docstring.  Candidates are
+    tried from the last back, so count vectors come out in lexicographic
+    closing order; the last edge takes exactly the rows left.  Each (edge,
+    count) the walk enters counts against ``MAX_WALK_NODES``.
     """
     m, k = h.m, h.k
-    if m == 0 or total < 1:
-        return []
     _, order, close_at = _closing_order(h)
     edges = [h.edges[i] for i in order]
     masks = [sum(1 << v for v in e) for e in edges]
+    closes = [sum(1 << v for v in close) for close in close_at]
     deg = [0] * h.n
-    mu = [0] * m
-    found = []
+    used: list[tuple[int, int]] = []  # (position in closing order, count)
+    found: list[Infragraph] = []
     nodes = 0
 
-    def leaf(i: int):
-        # every residue is 0 and edges 0..i hold all the rows
-        if _joined([masks[j] for j in range(i + 1) if mu[j]]):
-            support, mult = zip(*sorted((order[j], mu[j]) for j in range(i + 1) if mu[j]))
-            found.append((support, mult, {v: deg[v] for j in support for v in h.edges[j]}))
-
-    # The walk keeps (rows left, deficit, count c, step) of each open edge
-    # below the current one on an explicit stack, not the interpreter's, so
-    # a host of any size stays clear of the recursion limit.
-    stack: list[tuple[int, int, int, int]] = []
-    i, budget, deficit = 0, total, 0
-    while True:
-        nodes += 1  # open edge i with (budget, deficit)
-        if nodes > MAX_WALK_NODES:
-            raise _walk_budget(h, total, nodes, len(found))
-        e = edges[i]
-        close = close_at[i]
-        advance = False
-        if close:
-            start, step = -deg[close[0]] % k, k
-            for v in close[1:]:
-                if (deg[v] + start) % k:
-                    advance = True  # two closing vertices disagree
-                    break
-            if i == m - 1:  # every vertex closes here: take exactly the rows left
-                advance = advance or (budget - start) % k != 0
-                start = budget
-            if not advance:
-                for v in e:  # any c moves each residue on e by -start
-                    r = -deg[v] % k
-                    deficit += (r - start) % k - r
-        else:
-            start, step = 0, 1
-        if not advance:
-            c = start
-            for v in e:
-                deg[v] += c
-        while True:
-            if advance:  # edge i is done: step its parent to the next count
-                if not stack:
-                    return found
-                i -= 1
-                e = edges[i]
-                budget, deficit, c, step = stack.pop()
-                c += step
+    def walk(i: int, rows: int, deficit: int, open_: int):
+        # the edges before position i are settled, every vertex they close at
+        # residue 0; ``open_`` is the bitmask of the vertices of nonzero residue
+        nonlocal nodes
+        if not rows:
+            if used and _joined([masks[j] for j, _ in used]):
+                support, mult = zip(*sorted((order[j], c) for j, c in used))
+                found.append((support, mult, {v: deg[v] for j in support for v in h.edges[j]}))
+            return
+        tight = deficit == k * rows
+        stop = i if open_ else m - 1
+        while open_ and not closes[stop] & open_:
+            stop += 1
+        for j in range(stop, i - 1, -1):
+            if tight and masks[j] & ~open_:
+                continue  # the tight-tail lemma
+            e, close = edges[j], close_at[j]
+            first, step = (-deg[close[0]] % k or k, k) if close else (1, 1)
+            if j == m - 1:  # every vertex closes here: the rows left, if they fit
+                first = rows if (rows - first) % k == 0 else rows + 1
+            res = [-deg[v] % k for v in e]
+            for c in range(first, (min(res) if tight else rows) + 1, step):
+                child, grown = deficit - sum(res), open_ & ~masks[j]
+                for v, r in zip(e, res):
+                    r = (r - c) % k
+                    if r:
+                        child += r
+                        grown |= 1 << v
+                if grown & closes[j]:
+                    break  # two closing vertices disagree
+                if child > k * (rows - c):
+                    break  # the deficit cut, and no larger c passes it
+                if rows - c < k and child < k * (rows - c):
+                    continue  # the short-tail lemma
+                nodes += 1
+                if nodes > MAX_WALK_NODES:
+                    raise _walk_budget(h, total, nodes, len(found))
                 for v in e:
-                    if step == 1:
-                        deficit += k - 1 if deg[v] % k == 0 else -1
-                    deg[v] += step
-            if deficit <= k * (budget - c):
-                mu[i] = c
-                if c < budget:
-                    stack.append((budget, deficit, c, step))
-                    i, budget = i + 1, budget - c
-                    break
-                leaf(i)
-            for v in e:
-                deg[v] -= c
-            mu[i] = 0
-            advance = True
+                    deg[v] += c
+                used.append((j, c))
+                walk(j + 1, rows - c, child, grown)
+                used.pop()
+                for v in e:
+                    deg[v] -= c
+
+    walk(0, total, 0, 0)
+    del walk  # it refers to itself; the cycle would keep ``found`` until a collection
+    return found
 
 
 Shape = tuple[tuple[tuple[int, ...], int], ...]
@@ -760,6 +755,7 @@ def _closed_walk_components(h: Hypergraph, d: int) -> dict[tuple[int, int], int]
 
 @lru_cache(maxsize=TRACE_CACHE_SIZE)
 def _structural_components_cached(h: Hypergraph, d: int) -> AlphaPoly:
+    _check_order(d)
     components = _closed_walk_components if h.k == 2 else structural_components
     return components_to_poly(components(h, d))
 
@@ -800,7 +796,8 @@ def trace_closed(h: Hypergraph, d: int) -> AlphaPoly:
     """Closed-form moment for 0 <= d <= k+2.  At d = k+2 the adjacency
     term comes from the structural route (see ``trace_k_plus_2``)."""
     k = h.k
-    if not 0 <= d <= k + 2:
+    _check_order(d)
+    if d > k + 2:
         raise UnsupportedError(f"closed forms cover orders 0..k+2, got {d}")
     if d <= k - 1:
         return phi(h, d)

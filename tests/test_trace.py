@@ -268,10 +268,15 @@ def test_veblen_walk_matches_reference():
 
 
 def test_deficit_cut_shrinks_walk(monkeypatch):
-    # K6 minus P5 at e = 8: the walk visits 5,936 nodes for its 1,394
-    # infragraphs; without the residue-deficit cut it passes this cap
+    # K6 minus P5 at e = 8: the walk visits 4,081 nodes for its 1,394
+    # infragraphs, where the walk that stepped through every count 0 visited 5,350
     monkeypatch.setattr(trace_module, "MAX_WALK_NODES", 6000)
     assert len(_veblen_vectors(K6_MINUS_P5, 8)) == 1394
+    # the complete 3-graph on 6 vertices at e = 8: 48,055 nodes for 8,610
+    # infragraphs; 72,236 without the short-tail lemma, 102,577 without the
+    # deficit cut, and 208,399 in the walk that stepped through every count 0
+    monkeypatch.setattr(trace_module, "MAX_WALK_NODES", 50_000)
+    assert len(_veblen_vectors(hypergraph(3, 6, list(combinations(range(6), 3))), 8)) == 8610
 
 
 def test_sources_hand_over_deg_f():
@@ -732,9 +737,21 @@ def test_closed_walk_budget(monkeypatch, capsys):
     assert "steps so far" in err
 
 
+def test_negative_orders_rejected():
+    # every moment entry point refuses d < 0 with one ValueError, on graphs
+    # (closed walks, the matrix oracle) and on k = 3 hosts (infragraphs)
+    routes = [phi, degree_moment, structural_components, trace, trace_structural, trace_closed,
+              trace_bruteforce, adjacency_moment, signless_laplacian_moment]
+    for h, extra in ((hypercycle(2, 4), [matrix_power_trace]), (hyperpath(3, 2), [])):
+        for route in routes + extra:
+            with pytest.raises(ValueError, match="moment order must be nonnegative, got -1"):
+                route(h, -1)
+
+
 def test_walk_keeps_off_the_recursion_limit():
-    # K4^(3) with a 1,100-edge linear path attached cannot be peeled, and the
-    # walk once recursed per edge; the closed forms do not use the walk
+    # K4^(3) with a 1,100-edge linear path attached cannot be peeled; the walk
+    # recurses once per edge it uses, not per host edge, and the closed forms
+    # do not use it
     path = [(2 * j + 3, 2 * j + 4, 2 * j + 5) for j in range(1100)]
     h = hypergraph(3, 2204, list(combinations(range(4), 3)) + path)
     assert h.m == 1104 and not _peelable(h)
@@ -802,7 +819,7 @@ def test_exterior_pass_matches_enumerated_rooting():
 
 def test_rooting_budget(monkeypatch):
     # K4^(3) minus an edge cannot be peeled.  Through e = 9 its walk visits at
-    # most 22 nodes per e, but one shape with 9 rows takes 39 rooting steps.
+    # most 27 nodes per e, but one shape with 9 rows takes 39 rooting steps.
     h = hypergraph(3, 4, [(0, 1, 2), (0, 1, 3), (0, 2, 3)])
     monkeypatch.setattr(trace_module, "MAX_WALK_NODES", 30)
     for cache in (_structural_components_cached, _infragraph_table, _rooted_tree_weight):
@@ -842,8 +859,8 @@ class _NodeCount:
 
 def test_closing_order_bounds_dense_walk(monkeypatch):
     # closing vertices early makes the walk nearly label-free: these nine
-    # hosts take 10,290 to 10,464 nodes over e = 3..8, against 10,676 to
-    # 18,540 when the walk took the edges in host-index order
+    # hosts take 3,018 to 3,283 nodes over e = 3..8, against 3,011 to 5,780
+    # when the walk takes the edges in host-index order
     for h in _dense_3graphs(22, 3):
         total = 0
         for e in range(3, 9):
@@ -855,4 +872,4 @@ def test_closing_order_bounds_dense_walk(monkeypatch):
             for support, _, deg_f in found:
                 assert list(support) == sorted(support)
                 assert list(deg_f) == list(dict.fromkeys(v for i in support for v in h.edges[i]))
-        assert total <= 10_600, (h, total)
+        assert total <= 3_400, (h, total)
