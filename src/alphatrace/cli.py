@@ -14,14 +14,13 @@ import argparse
 import functools
 import io
 import json
-import os
 import sys
 from fractions import Fraction
 from pathlib import Path
 
 from . import enumeration, ordering
 from .errors import AlphaTraceError, BudgetExceeded, MethodDisagreement
-from .families import KINDS, FamilySpec, build_family, parse_arms, parse_family_string
+from .families import KINDS, build_family, parse_family_string
 from .hypergraph import HYPERTREE, LINEAR_UNICYCLIC, Hypergraph, loads
 from .trace import check_against_bruteforce, trace, trace_bruteforce, trace_closed
 
@@ -29,8 +28,6 @@ EXIT_OK = 0
 EXIT_VIOLATED = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
-
-BUDGET_ENV = "ALPHATRACE_MAX_EDGES"
 
 # ``trace --method``: the library's ``trace`` is the structural route, which
 # counts closed walks for k = 2 and sums infragraphs for k >= 3
@@ -61,43 +58,19 @@ def parse_alpha(text: str) -> Fraction:
 
 def load_source(text: str) -> Hypergraph:
     """A filesystem path to hypergraph JSON, or a family string."""
-    if Path(text).exists():
-        return _read_hypergraph(text)
-    if ":" in text:
-        return build_family(parse_family_string(text))
-    raise UsageError(f"no such file and not a family string: {text!r}")
-
-
-def _read_hypergraph(path: str) -> Hypergraph:
+    path = Path(text)
+    if not path.exists():
+        if ":" in text:
+            return build_family(parse_family_string(text))
+        raise UsageError(f"no such file and not a family string: {text!r}")
     try:
-        text = Path(path).read_text()
+        raw = path.read_text()
     except OSError as exc:
-        raise UsageError(f"cannot read {path!r}: {exc.strerror}") from exc
+        raise UsageError(f"cannot read {text!r}: {exc.strerror}") from exc
     try:
-        return loads(text)
+        return loads(raw)
     except (ValueError, KeyError, TypeError) as exc:
-        raise UsageError(f"{path!r} is not hypergraph JSON: {exc!r}") from exc
-
-
-def _family_from_flags(args) -> Hypergraph:
-    if args.input:
-        return _read_hypergraph(args.input)
-    if not args.family:
-        raise UsageError("provide --input FILE or --family NAME with its parameters")
-    params: dict = {}
-    if args.m is not None:
-        params["m"] = args.m
-    if args.g is not None:
-        params["g"] = args.g
-    for name in ("n1", "n2", "n3"):
-        value = getattr(args, name)
-        if value is not None:
-            params[name] = value
-    if args.arms:
-        params["arms"] = parse_arms(args.arms)
-    if args.k is None:
-        raise UsageError("--k is required with --family")
-    return build_family(FamilySpec(args.family, args.k, params))
+        raise UsageError(f"{text!r} is not hypergraph JSON: {exc!r}") from exc
 
 
 def _emit(args, payload: dict, text_lines: list[str], csv_rows: list[list] | None = None):
@@ -125,18 +98,17 @@ def _nonnegative(value: int, flag: str) -> int:
 
 def cmd_trace(args) -> int:
     _nonnegative(args.d, "--d")
-    h = _family_from_flags(args)
-    key = args.input or args.family
+    h = load_source(args.source)
     results = []
     csv_rows = [["key", "d", "coeff_index", "numerator", "denominator"]]
-    lines = [f"moments of {key} (k={h.k}, n={h.n}, m={h.m})"]
+    lines = [f"moments of {args.source} (k={h.k}, n={h.n}, m={h.m})"]
     for d in range(args.d + 1):
         poly = ROUTES[args.method](h, d)
         if args.cross_check:
             check_against_bruteforce(h, d, poly, args.method)
         results.append({"d": d, "poly": poly.to_json()})
         for idx, (num, den) in enumerate(poly.to_json()):
-            csv_rows.append([key, d, idx, num, den])
+            csv_rows.append([args.source, d, idx, num, den])
         lines.append(f"  d={d}: {poly.pretty()}")
     _emit(args, {"hypergraph": h.to_json_dict(), "traces": results}, lines, csv_rows)
     return EXIT_OK
@@ -148,9 +120,12 @@ def _d_max(args, k: int) -> int:
 
 
 def cmd_compare(args) -> int:
+    if args.alpha is None and not args.symbolic:
+        raise UsageError("--alpha is required without --symbolic")
+    # a given --alpha is checked even where --symbolic leaves it unused
+    alpha = None if args.alpha is None else parse_alpha(args.alpha)
     h1 = load_source(args.a)
     h2 = load_source(args.b)
-    alpha = parse_alpha(args.alpha)
     d_max = _d_max(args, h1.k)
     if args.symbolic:
         verdict = ordering.compare_symbolic(h1, h2, d_max)
@@ -180,7 +155,7 @@ def _filter_from_flags(args) -> enumeration.FamilyFilter:
 
 def cmd_sort(args) -> int:
     filt = _filter_from_flags(args)
-    family = enumeration.enumerate_family(filt, max_edges=_budget(args))
+    family = enumeration.enumerate_family(filt, max_edges=args.max_edges)
     alpha = parse_alpha(args.alpha)
     ranked = ordering.sort_family(family, alpha, _d_max(args, args.k))
     payload = {
@@ -203,7 +178,7 @@ def cmd_sort(args) -> int:
 
 def cmd_enumerate(args) -> int:
     filt = _filter_from_flags(args)
-    family = enumeration.enumerate_family(filt, max_edges=_budget(args))
+    family = enumeration.enumerate_family(filt, max_edges=args.max_edges)
     if args.out_dir:
         manifest = enumeration.dump_family(args.out_dir, family, filt)
         sys.stdout.write(f"wrote {len(family)} hypergraphs, manifest {manifest}\n")
@@ -217,22 +192,10 @@ def cmd_enumerate(args) -> int:
 def cmd_verify(args) -> int:
     alpha = parse_alpha(args.alpha)
     report = ordering.verify_theorem(
-        args.theorem, args.k, args.m, alpha, d_max=_d_max(args, args.k), max_edges=_budget(args)
+        args.theorem, args.k, args.m, alpha, d_max=_d_max(args, args.k), max_edges=args.max_edges
     )
     _emit(args, report.to_json_dict(), [report.to_text()])
     return EXIT_OK if report.holds else EXIT_VIOLATED
-
-
-def _budget(args) -> int:
-    env = os.environ.get(BUDGET_ENV)
-    if args.max_edges is not None:
-        return args.max_edges
-    if env:
-        try:
-            return int(env)
-        except ValueError:
-            raise UsageError(f"{BUDGET_ENV} must be an integer, got {env!r}") from None
-    return enumeration.DEFAULT_MAX_EDGES
 
 
 @functools.cache
@@ -245,21 +208,17 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact spectral moments of k-uniform hypergraphs and their extremal orderings.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    source_help = (
+        "hypergraph JSON file, or family string like hyperpath:k=3,m=4 "
+        f"(kinds: {', '.join(KINDS)})"
+    )
 
     def common(p, *formats):
         p.add_argument("--format", choices=("table", "json", *formats), default="table")
         p.add_argument("--out", help="write output to this file instead of stdout")
 
     p = sub.add_parser("trace", help="moment polynomials of one hypergraph")
-    p.add_argument("--input", help="hypergraph JSON file")
-    p.add_argument("--family", help=f"family name ({', '.join(KINDS)})")
-    p.add_argument("--k", type=int)
-    p.add_argument("--m", type=int)
-    p.add_argument("--g", type=int)
-    p.add_argument("--n1", type=int)
-    p.add_argument("--n2", type=int)
-    p.add_argument("--n3", type=int)
-    p.add_argument("--arms", help="starlike arm lengths, e.g. 2-1-1")
+    p.add_argument("source", help=source_help)
     p.add_argument("--d", type=int, required=True, help="compute orders 0..d")
     p.add_argument("--method", choices=tuple(ROUTES), default="structural")
     p.add_argument("--cross-check", action="store_true")
@@ -267,9 +226,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_trace)
 
     p = sub.add_parser("compare", help="compare two hypergraphs in moment order")
-    p.add_argument("a", help="JSON file or family string like hyperpath:k=3,m=4")
-    p.add_argument("b")
-    p.add_argument("--alpha", required=True, help="exact rational in (0,1), e.g. 1/2")
+    p.add_argument("a", help=source_help)
+    p.add_argument("b", help=source_help)
+    p.add_argument("--alpha", help="exact rational in (0,1), e.g. 1/2; required without --symbolic")
     p.add_argument("--d-max", type=int, default=None)
     p.add_argument("--symbolic", action="store_true", help="decide the sign on all of (0,1)")
     p.add_argument("--cross-check", action="store_true")
@@ -284,7 +243,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--girth", type=int)
         p.add_argument("--diameter", type=int)
         p.add_argument("--max-degree-2", action="store_true")
-        p.add_argument("--max-edges", type=int, help="enumeration budget override")
+        p.add_argument("--max-edges", type=int, default=enumeration.DEFAULT_MAX_EDGES,
+                       help="enumeration budget")
         if name == "sort":
             p.add_argument("--alpha", required=True)
             p.add_argument("--d-max", type=int, default=None)
@@ -300,7 +260,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--alpha", required=True)
     p.add_argument("--d-max", type=int, default=None)
-    p.add_argument("--max-edges", type=int)
+    p.add_argument("--max-edges", type=int, default=enumeration.DEFAULT_MAX_EDGES,
+                   help="enumeration budget")
     common(p)
     p.set_defaults(func=cmd_verify)
 

@@ -113,14 +113,6 @@ class AlphaPoly:
 
     __rmul__ = __mul__
 
-    def __pow__(self, n: int) -> "AlphaPoly":
-        if n < 0:
-            raise ValueError("negative power")
-        result = AlphaPoly.constant(1)
-        for _ in range(n):
-            result = result * self
-        return result
-
     def scaled_value(self, p: int, q: int, D: int | None = None) -> int:
         """q^D * P(p/q) for q > 0 and D >= degree (default: the degree), by
         Horner's rule on the sum of c_i p^i q^(D-i): an integer when the

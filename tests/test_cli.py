@@ -7,14 +7,26 @@ from itertools import combinations
 
 import pytest
 
+from alphatrace import trace
 from alphatrace.cli import main, parse_alpha
 from alphatrace.cli import UsageError
+from alphatrace.families import KINDS, build_family, parse_family_string
 
 
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def bad_files(tmp_path) -> dict:
+    """Hypergraph files a loader must reject: cut-off JSON, and JSON whose
+    numbers are not integers."""
+    broken = tmp_path / "broken.json"
+    broken.write_text('{"k": 3, "n": ')
+    fractional = tmp_path / "fractional.json"
+    fractional.write_text('{"k": 2.9, "n": 3.5, "edges": [[0, 1.7], [1, 2]]}')
+    return {"broken": broken, "fractional": fractional}
 
 
 def test_parse_alpha():
@@ -28,8 +40,7 @@ def test_parse_alpha():
 
 def test_trace_single_edge(capsys):
     code, out, _ = run(
-        capsys, "trace", "--family", "hyperpath", "--k", "3", "--m", "1", "--d", "3",
-        "--format", "json",
+        capsys, "trace", "hyperpath:k=3,m=1", "--d", "3", "--format", "json",
     )
     assert code == 0
     data = json.loads(out)
@@ -39,8 +50,7 @@ def test_trace_single_edge(capsys):
 
 def test_trace_cycle_star_order_two(capsys):
     code, out, _ = run(
-        capsys, "trace", "--family", "cg-odot-s", "--k", "3", "--g", "3", "--m", "4",
-        "--d", "2", "--format", "json",
+        capsys, "trace", "cg-odot-s:k=3,g=3,m=4", "--d", "2", "--format", "json",
     )
     assert code == 0
     data = json.loads(out)
@@ -49,8 +59,7 @@ def test_trace_cycle_star_order_two(capsys):
 
 def test_trace_cross_check(capsys):
     code, out, _ = run(
-        capsys, "trace", "--family", "hyperstar", "--k", "3", "--m", "2", "--d", "4",
-        "--cross-check",
+        capsys, "trace", "hyperstar:k=3,m=2", "--d", "4", "--cross-check",
     )
     assert code == 0
 
@@ -67,11 +76,11 @@ def test_compare_self_equal(capsys):
 
 
 def test_compare_symbolic(capsys):
-    code, out, _ = run(
-        capsys, "compare", "hyperpath:k=3,m=3", "hyperstar:k=3,m=3",
-        "--alpha", "1/2", "--symbolic", "--format", "json",
-    )
+    argv = ("compare", "hyperpath:k=3,m=3", "hyperstar:k=3,m=3", "--symbolic", "--format", "json")
+    code, out, _ = run(capsys, *argv)
     assert code == 0
+    # --symbolic decides on all of (0,1), so --alpha changes nothing
+    assert run(capsys, *argv, "--alpha", "1/2") == (code, out, "")
     data = json.loads(out)
     assert data["relation"] == "less-on-(0,1)"
     assert data["first_diff_order"] == 2
@@ -85,52 +94,67 @@ def test_compare_bad_operand(capsys):
 
 
 @pytest.mark.parametrize(
-    "budget_env, argv, bad",
+    "argv, bad",
     [
-        ("abc", ("sort", "--class", "hypertree", "--k", "3", "--m", "3", "--alpha", "1/2"), "'abc'"),
-        (None, ("compare", "hyperpath:k=3,m=x", "hyperstar:k=3,m=3", "--alpha", "1/2"), "'x'"),
-        (None, ("trace", "--family", "starlike", "--k", "3", "--arms", "2-x", "--d", "2"), "'2-x'"),
-        (None, ("trace", "--input", "{broken}", "--d", "2"), "broken.json"),
+        (("compare", "hyperpath:k=3,m=x", "hyperstar:k=3,m=3", "--alpha", "1/2"), "'x'"),
+        (("trace", "starlike:k=3,arms=2-x", "--d", "2"), "'2-x'"),
+        (("trace", "{broken}", "--d", "2"), "broken.json"),
         # a number that is not an integer is rejected, not truncated
-        (None, ("trace", "--input", "{fractional}", "--d", "2"), "must be an integer"),
+        (("trace", "{fractional}", "--d", "2"), "must be an integer"),
         # a rank the enumeration does not support is a usage error, not a budget
-        (None, ("verify", "--theorem", "6.4", "--k", "5", "--m", "3", "--alpha", "1/2"), "got 5"),
-        (None, ("sort", "--class", "hypertree", "--k", "5", "--m", "2", "--alpha", "1/2",
-                "--max-edges", "10"), "got 5"),
+        (("verify", "--theorem", "6.4", "--k", "5", "--m", "3", "--alpha", "1/2"), "got 5"),
+        (("sort", "--class", "hypertree", "--k", "5", "--m", "2", "--alpha", "1/2",
+          "--max-edges", "10"), "got 5"),
         # a negative order bound or edge count is a usage error, not an empty answer
-        (None, ("compare", "hyperpath:k=3,m=3", "hyperstar:k=3,m=3", "--alpha", "1/2",
-                "--d-max", "-1"), "--d-max must be >= 0"),
-        (None, ("sort", "--class", "hypertree", "--k", "3", "--m", "3", "--alpha", "1/2",
-                "--d-max", "-1"), "--d-max must be >= 0"),
-        (None, ("verify", "--theorem", "6.4", "--k", "3", "--m", "4", "--alpha", "1/2",
-                "--d-max", "-1"), "--d-max must be >= 0"),
-        (None, ("trace", "--family", "hyperpath", "--k", "3", "--m", "2", "--d", "-2"),
-         "--d must be >= 0"),
-        (None, ("enumerate", "--class", "hypertree", "--k", "3", "--m", "-1"), "m must be >= 0"),
+        (("compare", "hyperpath:k=3,m=3", "hyperstar:k=3,m=3", "--alpha", "1/2",
+          "--d-max", "-1"), "--d-max must be >= 0"),
+        (("sort", "--class", "hypertree", "--k", "3", "--m", "3", "--alpha", "1/2",
+          "--d-max", "-1"), "--d-max must be >= 0"),
+        (("verify", "--theorem", "6.4", "--k", "3", "--m", "4", "--alpha", "1/2",
+          "--d-max", "-1"), "--d-max must be >= 0"),
+        (("trace", "hyperpath:k=3,m=2", "--d", "-2"), "--d must be >= 0"),
+        # a comparison at one weight needs that weight; a given weight must be exact
+        (("compare", "hyperpath:k=3,m=2", "hyperstar:k=3,m=2"), "--alpha is required"),
+        (("compare", "hyperpath:k=3,m=2", "hyperstar:k=3,m=2", "--symbolic", "--alpha", "0.5"),
+         "exact rational"),
+        (("enumerate", "--class", "hypertree", "--k", "3", "--m", "-1"), "m must be >= 0"),
         # a parameter the family does not take is rejected, not ignored
-        (None, ("compare", "cg-odot-s:k=3,g=3,m=5,gg=4", "hypercycle:k=3,m=5", "--alpha", "1/2"),
+        (("compare", "cg-odot-s:k=3,g=3,m=5,gg=4", "hypercycle:k=3,m=5", "--alpha", "1/2"),
          "does not take params ['gg']"),
-        (None, ("trace", "--family", "hyperpath", "--k", "3", "--m", "2", "--g", "7", "--arms", "1-1",
-                "--n1", "4", "--d", "1"), "does not take params ['arms', 'g', 'n1']"),
+        (("trace", "hyperpath:k=3,m=2,g=7,arms=1-1,n1=4", "--d", "1"),
+         "does not take params ['arms', 'g', 'n1']"),
         # and so is a key set twice, instead of keeping its last value
-        (None, ("compare", "hyperpath:k=3,m=2,k=4", "hyperstar:k=4,m=2", "--alpha", "1/2"),
+        (("compare", "hyperpath:k=3,m=2,k=4", "hyperstar:k=4,m=2", "--alpha", "1/2"),
          "sets k more than once"),
     ],
-    ids=["budget-env", "family-string", "arms", "json-file", "fractional-json", "k5-verify",
-         "k5-sort", "compare-d-max", "sort-d-max", "verify-d-max", "trace-d", "enumerate-m",
-         "family-string-extra", "family-flags-extra", "family-string-repeat"],
+    ids=["family-string", "arms", "json-file", "fractional-json", "k5-verify",
+         "k5-sort", "compare-d-max", "sort-d-max", "verify-d-max", "trace-d", "compare-no-alpha",
+         "symbolic-decimal-alpha", "enumerate-m",
+         "family-string-extra", "trace-family-extra", "family-string-repeat"],
 )
-def test_bad_outside_input_exits_2(budget_env, argv, bad, tmp_path, monkeypatch, capsys):
-    broken = tmp_path / "broken.json"
-    broken.write_text('{"k": 3, "n": ')
-    fractional = tmp_path / "fractional.json"
-    fractional.write_text('{"k": 2.9, "n": 3.5, "edges": [[0, 1.7], [1, 2]]}')
-    if budget_env is not None:
-        monkeypatch.setenv("ALPHATRACE_MAX_EDGES", budget_env)
-    code, out, err = run(capsys, *(a.format(broken=broken, fractional=fractional) for a in argv))
+def test_bad_outside_input_exits_2(argv, bad, tmp_path, capsys):
+    files = bad_files(tmp_path)
+    code, out, err = run(capsys, *(a.format(**files) for a in argv))
     assert code == 2
     assert out == ""
     assert bad in err
+
+
+@pytest.mark.parametrize(
+    "source",
+    ["hyperpath:k=3,m=x", "no-such-kind:k=3,m=2", "hyperpath:k=3,m=2,k=4",
+     "hyperpath:k=3,m=2,g=7", "starlike:k=3,arms=2-x", "{broken}", "{fractional}",
+     "no-such-file.json"],
+    ids=["malformed", "unknown-kind", "repeated", "extra", "arms", "json-file",
+         "fractional-json", "missing-file"],
+)
+def test_trace_rejects_a_source_as_compare_does(source, tmp_path, capsys):
+    # both commands read sources through one loader, so they fail alike
+    source = source.format(**bad_files(tmp_path))
+    traced = run(capsys, "trace", source, "--d", "2")
+    compared = run(capsys, "compare", source, "hyperpath:k=3,m=2", "--alpha", "1/2")
+    assert traced == compared
+    assert traced[:2] == (2, "") and traced[2]
 
 
 def test_compare_alpha_rejects_decimal(capsys):
@@ -191,8 +215,8 @@ def test_trace_hosts_below_k_vertices(capsys, tmp_path):
             path = tmp_path / f"empty-{k}-{n}.json"
             path.write_text(json.dumps({"k": k, "n": n, "edges": []}))
             for method in ("structural", "brute", "closed"):
-                code, out, err = run(capsys, "trace", "--input", str(path), "--d", str(k + 2),
-                                     "--method", method, "--cross-check")
+                code, out, err = run(capsys, "trace", str(path), "--d", str(k + 2), "--method", method,
+                                     "--cross-check")
                 assert (code, err) == (0, ""), (k, n, method, err)
                 assert f"  d={k + 2}: 0" in out
 
@@ -205,7 +229,7 @@ def test_trace_walk_budget_exit(monkeypatch, capsys, tmp_path):
     trace_module._structural_components_cached.cache_clear()
     path = tmp_path / "complete3.json"
     path.write_text(json.dumps({"k": 3, "n": 5, "edges": [list(e) for e in combinations(range(5), 3)]}))
-    code, out, err = run(capsys, "trace", "--input", str(path), "--d", "8")
+    code, out, err = run(capsys, "trace", str(path), "--d", "8")
     assert code == 3
     assert out == ""
     assert "passed 50 nodes" in err
@@ -221,7 +245,7 @@ def test_trace_rooting_budget_exit(monkeypatch, capsys, tmp_path):
         getattr(trace_module, cache).cache_clear()
     path = tmp_path / "k4minus.json"
     path.write_text(json.dumps({"k": 3, "n": 4, "edges": [[0, 1, 2], [0, 1, 3], [0, 2, 3]]}))
-    code, out, err = run(capsys, "trace", "--input", str(path), "--d", "9")
+    code, out, err = run(capsys, "trace", str(path), "--d", "9")
     assert code == 3
     assert out == ""
     assert "rooting of an infragraph shape with 4 vertices and 9 edge rows passed 30 steps" in err
@@ -236,12 +260,37 @@ def test_byte_stable_output(capsys):
     assert out1 == out2
 
 
+FAMILY_STRINGS = {
+    "hyperpath": "hyperpath:k=3,m=3",
+    "hyperstar": "hyperstar:k=3,m=3",
+    "hypercycle": "hypercycle:k=3,m=4",
+    "cg-odot-s": "cg-odot-s:k=3,g=3,m=4",
+    "c3-split": "c3-split:k=3,n1=1,n2=1,n3=0",
+    "cg-dot-p": "cg-dot-p:k=3,g=3,m=4",
+    "starlike": "starlike:k=3,arms=2-1",
+    "fmk": "fmk:k=3,m=4",
+}
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_trace_family_string_and_file(kind, tmp_path, capsys):
+    source = FAMILY_STRINGS[kind]
+    h = build_family(parse_family_string(source))
+    code, out, _ = run(capsys, "trace", source, "--d", "3", "--format", "json")
+    assert code == 0
+    assert json.loads(out)["traces"] == [{"d": d, "poly": trace(h, d).to_json()} for d in range(4)]
+    # the same hypergraph written as a file gives the same bytes
+    path = tmp_path / f"{kind}.json"
+    path.write_text(h.dumps())
+    assert run(capsys, "trace", str(path), "--d", "3", "--format", "json") == (0, out, "")
+
+
 def test_trace_from_file(tmp_path, capsys):
     from alphatrace import hypercycle
 
     path = tmp_path / "c3.json"
     path.write_text(hypercycle(3, 3).dumps())
-    code, out, _ = run(capsys, "trace", "--input", str(path), "--d", "2", "--format", "json")
+    code, out, _ = run(capsys, "trace", str(path), "--d", "2", "--format", "json")
     assert code == 0
     data = json.loads(out)
     assert data["hypergraph"]["n"] == 6
@@ -251,7 +300,7 @@ def test_multi_hypergraph_file_exits_2(tmp_path, capsys):
     path = tmp_path / "doubled.json"
     path.write_text(json.dumps({"k": 3, "n": 5, "edges": [[0, 1, 2], [2, 3, 4]], "mult": [2, 1]}))
     for argv in (
-        ("trace", "--input", str(path), "--d", "2"),
+        ("trace", str(path), "--d", "2"),
         ("compare", str(path), "hyperpath:k=3,m=2", "--alpha", "1/2"),
     ):
         code, out, err = run(capsys, *argv)
@@ -400,22 +449,21 @@ def test_verify_budget_extension_bytes(capsys):
 
 def test_csv_rows_of_trace_and_sort(capsys):
     code, out, _ = run(
-        capsys, "trace", "--family", "hyperpath", "--k", "3", "--m", "1", "--d", "3",
-        "--format", "csv",
+        capsys, "trace", "hyperpath:k=3,m=1", "--d", "3", "--format", "csv",
     )
     assert code == 0
     assert out.splitlines() == [
         "key,d,coeff_index,numerator,denominator",
-        "hyperpath,0,0,12,1",
-        "hyperpath,1,0,0,1",
-        "hyperpath,1,1,12,1",
-        "hyperpath,2,0,0,1",
-        "hyperpath,2,1,0,1",
-        "hyperpath,2,2,12,1",
-        "hyperpath,3,0,9,1",
-        "hyperpath,3,1,-27,1",
-        "hyperpath,3,2,27,1",
-        "hyperpath,3,3,3,1",
+        '"hyperpath:k=3,m=1",0,0,12,1',
+        '"hyperpath:k=3,m=1",1,0,0,1',
+        '"hyperpath:k=3,m=1",1,1,12,1',
+        '"hyperpath:k=3,m=1",2,0,0,1',
+        '"hyperpath:k=3,m=1",2,1,0,1',
+        '"hyperpath:k=3,m=1",2,2,12,1',
+        '"hyperpath:k=3,m=1",3,0,9,1',
+        '"hyperpath:k=3,m=1",3,1,-27,1',
+        '"hyperpath:k=3,m=1",3,2,27,1',
+        '"hyperpath:k=3,m=1",3,3,3,1',
     ]
     code, out, _ = run(
         capsys, "sort", "--class", "hypertree", "--k", "3", "--m", "3", "--alpha", "1/2",
@@ -454,7 +502,7 @@ def test_csv_only_where_rows_exist(argv, capsys):
 @pytest.mark.parametrize(
     "argv",
     [
-        ("trace", "--family", "hyperstar", "--k", "3", "--m", "2", "--d", "4", "--cross-check"),
+        ("trace", "hyperstar:k=3,m=2", "--d", "4", "--cross-check"),
         ("compare", "hyperpath:k=3,m=3", "hyperstar:k=3,m=3", "--alpha", "1/2", "--cross-check"),
     ],
     ids=["trace", "compare"],
@@ -478,8 +526,7 @@ def test_trace_brute_budget_exit(monkeypatch, capsys):
     trace_module = importlib.import_module("alphatrace.trace")
     monkeypatch.setattr(trace_module, "MAX_ASSIGNMENT_CLASSES", 1000)
     code, out, err = run(
-        capsys, "trace", "--family", "hyperpath", "--k", "3", "--m", "4", "--d", "8",
-        "--method", "brute",
+        capsys, "trace", "hyperpath:k=3,m=4", "--d", "8", "--method", "brute",
     )
     assert code == 3
     assert out == ""

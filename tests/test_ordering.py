@@ -98,10 +98,10 @@ def test_symbolic_touching_difference(monkeypatch):
     a, b = hyperpath(3, 3), hyperstar(3, 3)
     unit = ((Fraction(0), Fraction(1)),)
     cases = [
-        (half**2, GREATER_OR_EQUAL_ON_UNIT, unit),
-        (half**2 * -5, LESS_OR_EQUAL_ON_UNIT, unit),
-        (half**3, SIGN_CHANGES, unit),
-        (half**2 + 1, GREATER_ON_UNIT, ()),
+        (half * half, GREATER_OR_EQUAL_ON_UNIT, unit),
+        (half * half * -5, LESS_OR_EQUAL_ON_UNIT, unit),
+        (half * half * half, SIGN_CHANGES, unit),
+        (half * half + 1, GREATER_ON_UNIT, ()),
     ]
     for diff, relation, witnesses in cases:
         fake = {a: [AlphaPoly.zero()] * 2 + [diff], b: [AlphaPoly.zero()] * 3}
@@ -109,7 +109,7 @@ def test_symbolic_touching_difference(monkeypatch):
         v = compare_symbolic(a, b, 2)
         assert (v.relation, v.first_diff_order, v.witnesses) == (relation, 2, witnesses)
     assert v.to_json_dict()["witnesses"] == []
-    monkeypatch.setattr(ordering_module, "trace", lambda h, d: fake[h][d] if h is a else half**2)
+    monkeypatch.setattr(ordering_module, "trace", lambda h, d: fake[h][d] if h is a else half * half)
     assert compare_symbolic(a, b, 0).to_json_dict() == {
         "relation": LESS_OR_EQUAL_ON_UNIT, "first_diff_order": 0, "d_max": 0,
         "witnesses": [["0", "1"]],

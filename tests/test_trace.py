@@ -558,7 +558,7 @@ def test_peeled_budget(monkeypatch, capsys):
     assert (ctx["k"], ctx["n"], ctx["m"], ctx["e"]) == (3, 13, 6, 9)
     assert ctx["nodes"] > 60
     assert 0 < ctx["infragraphs"] < len(veblen_vectors_reference(h, 9)) == 56
-    code = cli.main(["trace", "--family", "hyperstar", "--k", "3", "--m", "6", "--d", "9"])
+    code = cli.main(["trace", "hyperstar:k=3,m=6", "--d", "9"])
     out, err = capsys.readouterr()
     assert (code, out) == (3, "")
     assert "passed 60 nodes" in err and "infragraphs found so far" in err
@@ -730,7 +730,7 @@ def test_closed_walk_budget(monkeypatch, capsys):
     assert 100 < ctx["steps"] <= 3 * 34
     assert "passed 100 vertex steps at start vertex 2" in str(info.value)
     # the CLI walks orders 0..8: order 5 takes 5 * 19 = 95 steps, order 6 passes the cap
-    code = cli.main(["trace", "--family", "hypercycle", "--k", "2", "--m", "5", "--d", "8"])
+    code = cli.main(["trace", "hypercycle:k=2,m=5", "--d", "8"])
     out, err = capsys.readouterr()
     assert (code, out) == (3, "")
     assert "closed walks of a 2-graph with n=5, m=5 to order 6 passed 100 vertex steps" in err
