@@ -115,8 +115,8 @@ def cmd_trace(args) -> int:
 
 
 def _d_max(args, k: int) -> int:
-    """``--d-max``, defaulting to 2k+2 for the operands' rank k."""
-    return _nonnegative(args.d_max, "--d-max") if args.d_max is not None else 2 * (k or 2) + 2
+    """``--d-max``, defaulting to the ordering's budget for the operands' rank k."""
+    return ordering._default_d_max(k) if args.d_max is None else _nonnegative(args.d_max, "--d-max")
 
 
 def cmd_compare(args) -> int:

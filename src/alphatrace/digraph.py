@@ -68,12 +68,6 @@ class MultiDigraph:
         touched = {u for (u, v), _ in self.arcs} | {v for (u, v), _ in self.arcs}
         return connects(touched, (a for a, _ in self.arcs))
 
-    def to_debug_text(self) -> str:
-        lines = [f"vertices {list(self.vertices)}"]
-        for (u, v), mu in self.arcs:
-            lines.append(f"{u} -> {v} x{mu}")
-        return "\n".join(lines)
-
 
 def multidigraph(
     arcs: Mapping[Arc, int] | Iterable[Arc],
@@ -100,14 +94,6 @@ def b_factor(g: MultiDigraph) -> int:
     out = 1
     for _, mu in g.arcs:
         out *= math.factorial(mu)
-    return out
-
-
-def c_factor(g: MultiDigraph) -> int:
-    """Product of factorials of vertex out-degrees."""
-    out = 1
-    for d in g.out_degrees().values():
-        out *= math.factorial(d)
     return out
 
 

@@ -60,9 +60,6 @@ class Hypergraph:
         """Number of edges."""
         return len(self.edges)
 
-    def degree(self, v: int) -> int:
-        return sum(1 for e in self.edges if v in e)
-
     def degrees(self) -> tuple[int, ...]:
         deg = [0] * self.n
         for e in self.edges:

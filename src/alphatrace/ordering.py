@@ -38,8 +38,8 @@ from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
 from .canon import canonical_form
-from .enumeration import DEFAULT_MAX_EDGES, FamilyFilter, enumerate_family
-from .errors import OrderingError
+from .enumeration import DEFAULT_MAX_EDGES, SUPPORTED_K, FamilyFilter, enumerate_family
+from .errors import OrderingError, ParameterError
 from .families import (
     cycle_with_pendant_star,
     cycle_with_tail,
@@ -112,6 +112,10 @@ def _validate_alpha(alpha: Fraction):
     if not 0 < alpha < 1:
         raise OrderingError(f"alpha must lie strictly inside (0, 1), got {alpha}")
     return alpha
+
+
+def _default_d_max(k: int) -> int:
+    return 2 * k + 2
 
 
 def _validate_d_max(d_max: int):
@@ -517,13 +521,18 @@ def verify_theorem(
     budget starts at 2k+2 (or ``d_max``) and the same refinement is
     extended, up to k*m + 2, while a tie blocks the claimed position.  A
     moment claim reads one order per row and reports the largest of them
-    as ``d_used``.
+    as ``d_used``.  A rank outside ``SUPPORTED_K`` or a negative m raises
+    ``ParameterError`` before any claim is read.
     """
     if claim_id not in CLAIMS:
         raise OrderingError(f"unknown claim id {claim_id!r}; known: {sorted(CLAIMS)}")
     claim = CLAIMS[claim_id]
+    if k not in SUPPORTED_K:
+        raise ParameterError(f"claims are verified for k in {SUPPORTED_K}, got {k}")
+    if m < 0:
+        raise ParameterError(f"m must be >= 0, got {m}")
     alpha = _validate_alpha(alpha)
-    d_base = d_max if d_max is not None else 2 * k + 2
+    d_base = _default_d_max(k) if d_max is None else d_max
     _validate_d_max(d_base)
     d_cap = max(d_base, k * m + 2)
 

@@ -156,13 +156,18 @@ evaluations of that polynomial.
 ``check_against_bruteforce`` is the one cross-check of any route's
 result against the brute force.
 
-Closed forms: orders 0..k-1 are pure degree moments; order k adds a
-term linear in the edge count; order k+1 adds the degree square sum and
-one term per complete subhypergraph on k+1 vertices, weighted by that
-subhypergraph's rooted spanning-tree sum W' (the same W' the structural
-route caches; there are none in a linear hypergraph with k >= 3);
-order k+2 is assembled from per-edge degree correlations and the same
-W' times the degree sum of each complete subhypergraph.
+Closed forms.  ``trace_closed`` (orders 0..k+2) builds its own tables
+for e = k and e = k+1 in closed form and sums them with the structural
+route's entry loop, adding at d = k+2 that route's table with k+2 rows.
+An infragraph F with e rows has sum_v deg_F(v) = k e, each deg_F(v) >= k.
+* e = k: F is one edge taken k times.  Proof.  So |V(F)| <= k, and every
+  row has k vertices.  []  C = (k-1)^{n-k} k! k^{k-2} (a tree, c = 1).
+* e = k+1: F is the k+1 k-subsets of a (k+1)-set, each taken once.
+  Proof.  If |V(F)| = k, F is one edge of multiplicity k+1, no multiple
+  of k.  So |V(F)| = k+1 and every deg_F(v) = k: each vertex is missing
+  from exactly one row and each row misses one, so the rows differ.  []
+  These are the complete subhypergraphs on k+1 vertices (none in a
+  linear host with k >= 3), with C = (k-1)^{n-k-1} (k+1)! W'(clique).
 """
 
 from __future__ import annotations
@@ -682,22 +687,18 @@ def _complete_homogeneous(values: tuple[int, ...], t: int) -> int:
     return h[t]
 
 
-def structural_components(h: Hypergraph, d: int) -> dict[tuple[int, int], int]:
-    """Moment table via the infragraph decomposition.
+def _table_entries(h: Hypergraph, d: int, tables) -> dict[tuple[int, int], int]:
+    """The order-d moment table from (e, rows) pairs, rows as ``_infragraph_table``'s.
 
     Placing t diagonal rows on an infragraph F weighs vertex v's j of them
     by (rho_v + j - 1)! deg(v)^j / j!, so all placements together weigh F
     by prod_v (rho_v - 1)! times h_t of F's degree multiset.  Entry
     (d - e, e) is therefore d / e! times the sum of C * h_{d-e}(degrees)
-    over ``_infragraph_table(h, e)``, for e from k, in steps of k on a
-    peelable host.  The division is exact on every input checked; a
+    over the rows.  The division is exact on every input checked; a
     remainder raises ``ArithmeticError``, never rounds.
     """
     comp = {(d, 0): degree_moment(h, d)}
-    if d < h.k:
-        return comp  # a vertex of an infragraph meets at least k of its rows
-    for e in range(h.k, d + 1, h.k if _peelable(h) else 1):
-        table = _infragraph_table(h, e)
+    for e, table in tables:
         if table:
             total = sum(c * _complete_homogeneous(degs, d - e) for degs, c in table)
             value, rem = divmod(d * total, math.factorial(e))
@@ -705,6 +706,13 @@ def structural_components(h: Hypergraph, d: int) -> dict[tuple[int, int], int]:
                 raise ArithmeticError(f"table entry ({d - e}, {e}) of {h}: {d * total}/{e}!")
             comp[(d - e, e)] = value
     return comp
+
+
+def structural_components(h: Hypergraph, d: int) -> dict[tuple[int, int], int]:
+    """Moment table via the infragraph decomposition: the entries of
+    ``_infragraph_table(h, e)`` for e from k to d, in steps of k if peelable."""
+    steps = range(h.k, d + 1, h.k if _peelable(h) else 1)
+    return _table_entries(h, d, ((e, _infragraph_table(h, e)) for e in steps))
 
 
 def _closed_walk_components(h: Hypergraph, d: int) -> dict[tuple[int, int], int]:
@@ -785,61 +793,30 @@ def signless_laplacian_moment(h: Hypergraph, d: int) -> int:
 # Closed forms through order k+2
 # ---------------------------------------------------------------------------
 
-def _clique_tree_weight(k: int) -> int:
-    """W' of the complete k-graph on k+1 vertices (see ``_rooted_tree_weight``):
-    the sum, over the ways to root each edge at one of its vertices with every
-    vertex rooting one edge, of the in-arborescence count of the arc digraph."""
-    return _rooted_tree_weight(tuple((e, 1) for e in combinations(range(k + 1), k)))
-
-
 def trace_closed(h: Hypergraph, d: int) -> AlphaPoly:
-    """Closed-form moment for 0 <= d <= k+2.  At d = k+2 the adjacency
-    term comes from the structural route (see ``trace_k_plus_2``)."""
+    """Closed-form moment for 0 <= d <= k+2: the structural sum over its
+    own tables with k and k+1 rows (module docstring) and, at d = k+2,
+    the structural route's table with k+2 rows."""
     k = h.k
     _check_order(d)
     if d > k + 2:
         raise UnsupportedError(f"closed forms cover orders 0..k+2, got {d}")
-    if d <= k - 1:
-        return phi(h, d)
-    if d == k:
-        return phi(h, k) + basis_term(0, k) * (_spread(h, k) * k ** (k - 1) * h.m)
-    if d == k + 1:
-        deg2 = sum(x**2 for x in h.degrees())
-        result = phi(h, k + 1) + basis_term(1, k) * (
-            (k + 1) * _spread(h, k) * k ** (k - 2) * deg2
-        )
-        cliques = complete_subhypergraphs(h)
-        if cliques:
-            result = result + basis_term(0, k + 1) * (
-                (k + 1) * _spread(h, k + 1) * _clique_tree_weight(k) * len(cliques)
-            )
-        return result
-    return trace_k_plus_2(h)
+    deg = h.degrees()
+    tables = []  # the table with e rows adds to orders d >= e only
+    if d >= k:
+        c = _spread(h, k) * math.factorial(k) * k ** (k - 2)
+        tables.append((k, [(tuple(sorted(deg[v] for v in e)), c) for e in h.edges]))
+    if d >= k + 1:
+        clique = tuple((e, 1) for e in combinations(range(k + 1), k))
+        c = _spread(h, k + 1) * math.factorial(k + 1) * _rooted_tree_weight(clique)
+        tables.append((k + 1, [(tuple(sorted(deg[v] for v in S)), c)
+                               for S in complete_subhypergraphs(h)]))
+    if d >= k + 2:
+        tables.append((k + 2, _infragraph_table(h, k + 2)))
+    return components_to_poly(_table_entries(h, d, tables))
 
 
 def trace_k_plus_2(h: Hypergraph) -> AlphaPoly:
-    """Order k+2: degree part, adjacency part, per-edge degree correlations,
-    and the complete-subhypergraph tree-count term.  The adjacency part is the
-    structural route's, so a brute-force cross-check here tests only the
-    degree-correlation and clique terms."""
-    k = h.k
-    d = k + 2
-    deg = h.degrees()
-    result = phi(h, d) + basis_term(0, d) * adjacency_moment(h, d)
-    corr = 0
-    for e in h.edges:
-        ds = [deg[v] for v in e]
-        pair_sum = sum(
-            ds[i] * ds[j] for i in range(len(ds)) for j in range(i + 1, len(ds))
-        )
-        corr += pair_sum + sum(x**2 for x in ds)
-    result = result + basis_term(2, k) * (
-        (k + 2) * _spread(h, k) * k ** (k - 2) * corr
-    )
-    cliques = complete_subhypergraphs(h)
-    if cliques:
-        degsum = sum(deg[v] for S in cliques for v in S)
-        result = result + basis_term(1, k + 1) * (
-            (k + 2) * _spread(h, k + 1) * _clique_tree_weight(k) * degsum
-        )
-    return result
+    """The closed-form moment of order k+2; a brute-force cross-check of
+    it tests only the edge and clique tables."""
+    return trace_closed(h, h.k + 2)

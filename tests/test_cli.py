@@ -103,6 +103,13 @@ def test_compare_bad_operand(capsys):
         (("trace", "{fractional}", "--d", "2"), "must be an integer"),
         # a rank the enumeration does not support is a usage error, not a budget
         (("verify", "--theorem", "6.4", "--k", "5", "--m", "3", "--alpha", "1/2"), "got 5"),
+        # and so it is for every claim, before its k and m hypotheses are read
+        (("verify", "--theorem", "5.3", "--k", "5", "--m", "3", "--alpha", "1/2"), "got 5"),
+        (("verify", "--theorem", "6.4", "--k", "0", "--m", "3", "--alpha", "1/2"), "got 0"),
+        (("verify", "--theorem", "6.4", "--k", "1", "--m", "3", "--alpha", "1/2"), "got 1"),
+        (("verify", "--theorem", "6.4", "--k", "-3", "--m", "3", "--alpha", "1/2"), "got -3"),
+        (("verify", "--theorem", "6.4", "--k", "3", "--m", "-2", "--alpha", "1/2"),
+         "m must be >= 0, got -2"),
         (("sort", "--class", "hypertree", "--k", "5", "--m", "2", "--alpha", "1/2",
           "--max-edges", "10"), "got 5"),
         # a negative order bound or edge count is a usage error, not an empty answer
@@ -128,6 +135,7 @@ def test_compare_bad_operand(capsys):
          "sets k more than once"),
     ],
     ids=["family-string", "arms", "json-file", "fractional-json", "k5-verify",
+         "k5-verify-5.3", "k0-verify", "k1-verify", "negative-k-verify", "negative-m-verify",
          "k5-sort", "compare-d-max", "sort-d-max", "verify-d-max", "trace-d", "compare-no-alpha",
          "symbolic-decimal-alpha", "enumerate-m",
          "family-string-extra", "trace-family-extra", "family-string-repeat"],

@@ -60,7 +60,7 @@ def test_branch_tree_shape():
     base = hyperpath(3, 3)
     from alphatrace.families import add_pendant_edge
 
-    choices = [v for v in base.edges[1] if base.degree(v) == 1]
+    choices = [v for v in base.edges[1] if base.degrees()[v] == 1]
     builds = [add_pendant_edge(base, v) for v in choices]
     assert all(are_isomorphic(builds[0], b) for b in builds)
 

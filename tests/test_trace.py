@@ -1,5 +1,6 @@
 import importlib
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 
@@ -10,6 +11,7 @@ from alphatrace import (
     BudgetExceeded,
     UnsupportedError,
     adjacency_moment,
+    complete_subhypergraphs,
     cycle_with_pendant_star,
     degree_moment,
     enumerate_hypertrees,
@@ -39,6 +41,7 @@ from alphatrace.trace import (
     _peeled_vectors,
     _rooted_tree_weight,
     _structural_components_cached,
+    _table_entries,
     _veblen_vectors,
     brute_components,
     components_to_poly,
@@ -212,6 +215,42 @@ def test_trace_k_plus_2_on_cycles():
     for m in (3, 4):
         h = hypercycle(3, m)
         assert trace_k_plus_2(h) == trace_bruteforce(h, 5)
+
+
+def test_closed_tables_are_the_low_infragraph_tables(monkeypatch):
+    # the walk finds each edge k times as the only infragraphs with k rows,
+    # and each complete subhypergraph on k+1 vertices, every edge once, as the
+    # only ones with k+1 rows; the closed route's tables, summed by degree
+    # multiset, are then the structural route's
+    passed = []
+
+    def spy(h, d, tables):
+        passed.append(tables)
+        return _table_entries(h, d, tables)
+
+    monkeypatch.setattr(trace_module, "_table_entries", spy)
+    rng = random.Random(25)
+    hosts = [hypergraph(k, k + 2, combinations(range(k + 2), k)) for k in (2, 3, 4)]
+    for _ in range(150):
+        k, n = rng.randint(2, 4), rng.randint(0, 8)
+        pool = list(combinations(range(n), k))
+        hosts.append(hypergraph(k, n, rng.sample(pool, rng.randint(0, min(len(pool), 10)))))
+    for h in hosts:
+        k = h.k
+        index = {e: i for i, e in enumerate(h.edges)}
+        assert _pairs(_veblen_vectors(h, k)) == [((i,), (k,)) for i in range(h.m)], h
+        cliques = [(tuple(sorted(index[e] for e in combinations(S, k))), (1,) * (k + 1))
+                   for S in complete_subhypergraphs(h)]
+        assert _pairs(_veblen_vectors(h, k + 1)) == sorted(cliques), h
+        passed.clear()
+        trace_closed(h, k + 1)
+        (tables,) = passed
+        assert [e for e, _ in tables] == [k, k + 1]
+        for e, rows in tables:
+            summed = Counter()
+            for degrees, c in rows:
+                summed[degrees] += c
+            assert tuple(sorted(summed.items())) == _infragraph_table(h, e), (h, e)
 
 
 def test_budget_guard(monkeypatch):
