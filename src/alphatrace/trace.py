@@ -679,7 +679,9 @@ def _infragraph_table(h: Hypergraph, e: int) -> tuple[tuple[tuple[int, ...], int
 
 @lru_cache(maxsize=TRACE_CACHE_SIZE)
 def _complete_homogeneous(values: tuple[int, ...], t: int) -> int:
-    """h_t(values): the sum of all degree-t monomials in ``values``."""
+    """h_t(values): the sum of all degree-t monomials in ``values``; 0 for t < 0."""
+    if t < 0:
+        return 0
     h = [1] + [0] * t
     for x in values:
         for i in range(1, t + 1):

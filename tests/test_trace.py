@@ -34,6 +34,7 @@ from alphatrace.polynomial import AlphaPoly, basis_term
 from alphatrace.trace import (
     _closed_walk_components,
     _closing_order,
+    _complete_homogeneous,
     _infragraph_shape,
     _infragraph_table,
     _infragraph_weight,
@@ -215,6 +216,14 @@ def test_trace_k_plus_2_on_cycles():
     for m in (3, 4):
         h = hypercycle(3, m)
         assert trace_k_plus_2(h) == trace_bruteforce(h, 5)
+
+
+def test_complete_homogeneous_below_order_zero():
+    # h_t is the sum of the degree-t monomials: none for t < 0, just 1 for t = 0
+    assert _complete_homogeneous((1, 2), -1) == 0
+    assert _complete_homogeneous((1, 2), -2) == 0
+    assert _complete_homogeneous((1, 2), 0) == 1
+    assert _complete_homogeneous((1, 2), 2) == 1 + 2 + 4
 
 
 def test_closed_tables_are_the_low_infragraph_tables(monkeypatch):

@@ -1,8 +1,12 @@
+from itertools import permutations, product
+
 import pytest
 
 from alphatrace import (
     TransformError,
     coalesce,
+    enumerate_hypertrees,
+    enumerate_linear_unicyclic,
     hyperpath,
     hyperstar,
     sigma_candidates,
@@ -12,6 +16,8 @@ from alphatrace import (
 from alphatrace.canon import are_isomorphic
 from alphatrace.transforms import (
     FIRST,
+    SECOND,
+    THIRD,
     PathSite,
     first_path_slide,
     path_slide,
@@ -139,3 +145,74 @@ def test_invalid_path_decompositions():
         first_path_slide(h, list(range(h.m)), 2)  # nothing left attached
     with pytest.raises(TransformError):
         first_path_slide(h, pe, 0)  # not a joint
+
+
+def test_sigma_rejects_vertices_outside_the_host():
+    for h, u, v in [
+        (hyperpath(3, 3), 2, 99),
+        (hyperstar(3, 3), 0, -1),
+        (hyperpath(3, 3), 99, 4),
+        (hyperpath(3, 3), -1, 4),
+    ]:
+        with pytest.raises(TransformError, match="must lie in"):
+            sigma_transform(h, u, v)
+
+
+# slide, host, path edges, attach, the targets the slide allows
+SITES = [
+    # 2-path with an edge (2, 5, 6) at the joint: every degree-1 path vertex
+    (first_path_slide, *attach_path(hyperpath(3, 2), 2), 2, [0, 1, 3, 4]),
+    # 3-path with an edge (3, 7, 8) on edge 2: the degree-1 vertices of edge 1
+    (second_path_slide, *attach_path(hyperpath(3, 3), 3), 3, [0, 1]),
+    # 4-path with an edge (4, 9, 10) at u_2 = 4: u_1 = 2 alone (not the far
+    # end 8, nor 9 of the attachment itself)
+    (third_path_slide, *attach_path(hyperpath(3, 4), 4), 4, [2]),
+    # 3-star as a 2-path with an edge at u_1 = 0: any u_0 of the first edge
+    (third_path_slide, hyperstar(3, 3), [0, 1], 0, [1, 2]),
+]
+
+
+@pytest.mark.parametrize("slide, h, pe, attach, allowed", SITES)
+def test_slides_take_exactly_their_allowed_targets(slide, h, pe, attach, allowed):
+    assert slide(h, pe, attach) == slide(h, pe, attach, allowed[0])
+    for t in [-1, *range(h.n + 1), 99]:
+        if t in allowed:
+            moved = [
+                tuple(sorted({*e} - {attach} | {t})) if i not in pe and attach in e else e
+                for i, e in enumerate(h.edges)
+            ]
+            assert slide(h, pe, attach, t).edges == tuple(sorted(moved))
+        else:
+            with pytest.raises(TransformError):
+                slide(h, pe, attach, t)
+
+
+def _joint_position(h, pe, attach):
+    """l with attach the vertex shared by path edges l and l+1."""
+    return next(i for i in range(1, len(pe)) if attach in {*h.edges[pe[i - 1]]} & {*h.edges[pe[i]]})
+
+
+def test_degree_effects_at_every_site():
+    """The module docstring's degree effects, at every site on the k = 3
+    members with m <= 5, over paths of at most 4 edges."""
+    seen = 0
+    for m in range(1, 6):
+        for h in enumerate_hypertrees(3, m) + enumerate_linear_unicyclic(3, m):
+            for u, v in sigma_candidates(h):
+                assert sq(sigma_transform(h, u, v)) > sq(h)
+                seen += 1
+            paths = [pe for r in range(1, 5) for pe in permutations(range(h.m), r)]
+            for pe, attach, which in product(paths, range(h.n), (FIRST, SECOND, THIRD)):
+                try:
+                    out = path_slide(h, which, PathSite(pe, attach))
+                except TransformError:
+                    continue
+                seen += 1
+                if which == FIRST:
+                    assert sq(out) < sq(h)
+                elif which == SECOND or _joint_position(h, pe, attach) >= 2:
+                    assert sorted(out.degrees()) == sorted(h.degrees())
+                else:
+                    s = sum(attach in e for i, e in enumerate(h.edges) if i not in pe)
+                    assert sq(h) - sq(out) == 2 * s
+    assert seen == 239
