@@ -71,15 +71,26 @@ class FamilyFilter:
 def _growth(cls: str, k: int, m: int, girth: int | None) -> tuple[tuple[bytes, Hypergraph], ...]:
     """The sorted ``(canonical key, member)`` pairs of one growth: the
     hypertrees with m edges, or the linear unicyclic hypergraphs with m
-    edges and the given girth."""
+    edges and the given girth.
+
+    Each layer attaches a pendant edge at the vertices of every member in
+    ascending order and keeps the first child of each class.  Of the
+    degree-1 vertices of one edge only the least is tried: swapping two
+    of them is an automorphism, so their children are isomorphic, and
+    the least is tried first, so every class is first seen at a vertex
+    that is tried.  Each layer, and so each growth, is the one that
+    trying every vertex gives, member for member."""
     seed, steps = (hyperpath(k, 0), m) if cls == HYPERTREE else (hypercycle(k, girth), m - girth)
     layer = {canonical_form(seed): seed}
     for _ in range(steps):
         nxt: dict[bytes, Hypergraph] = {}
         for h in layer.values():
+            deg = h.degrees()
+            least = {min((v for v in e if deg[v] == 1), default=None) for e in h.edges}
             for v in range(h.n):
-                g = add_pendant_edge(h, v)
-                nxt.setdefault(canonical_form(g), g)
+                if deg[v] != 1 or v in least:
+                    g = add_pendant_edge(h, v)
+                    nxt.setdefault(canonical_form(g), g)
         layer = nxt
     for h in layer.values():
         got = classify(h)

@@ -5,11 +5,13 @@ the moment sequence Tr_0, Tr_1, ... until the first strict difference.
 At one exact rational alpha = p/q in (0, 1) that walk is one refinement
 loop, ``_refine``: it buckets members on the integers q^d Tr_d(p/q)
 (every order-d moment has degree <= d), one order at a time, until no
-group is tied.  ``compare_at_alpha`` refines a pair, ``sort_family``
-keeps the last refinement of a family, ties as explicit groups, and
-``verify_theorem`` walks one refinement per family, extended in place
-past the starting order budget while a tie blocks the claimed position;
-a moment row buckets its family once, at the row's order.
+group is tied; it skips orders 0 and 1 where they cannot split.
+``compare_at_alpha`` refines a pair, ``sort_family`` keeps the last
+refinement of a family, ties as explicit groups, and a moment row
+buckets its family once, at the row's order.  ``verify_theorem`` walks
+one refinement per family for a position claim, extended in place past
+the starting order budget while a tie blocks the claimed position, and
+splits only the end groups that the position reads.
 ``compare_symbolic`` decides the sign of the first differing moment
 polynomial on all of (0, 1) by exact root isolation.
 
@@ -123,25 +125,38 @@ def _validate_d_max(d_max: int):
         raise OrderingError(f"order bound d_max must be >= 0, got {d_max}")
 
 
-def _refine(members: Sequence[Hypergraph], alpha: Fraction, orders: Iterable[int]):
+def _refine(
+    members: Sequence[Hypergraph], alpha: Fraction, orders: Iterable[int], side: tuple[bool, int] | None = None
+):
     """Yield ``(d, groups)`` after each order d of ``orders``: ``groups``
     lists member indices in ascending order of the integers q^d Tr_d(p/q)
     read so far, lexicographically, tied members in input order.  Stops
-    once no group is tied."""
+    once no group is tied.
+
+    With ``side = (ascending, rank)`` only the first rank + 1 groups from
+    that end are split, which are the full refinement's own since a group
+    splits in place; every other member joins one rest group at the far
+    end, in input order, which no later order reads.  Orders 0 and 1 are
+    not read when all members share (k, n, m): Tr_0 = n(k-1)^(n-1) and
+    Tr_1 = alpha(k-1)^(n-1)km are then the same for each."""
     p, q = alpha.numerator, alpha.denominator
-    groups = [tuple(range(len(members)))]
+    ascending, keep = (side[0], side[1] + 1) if side else (True, len(members))
+    uniform = len({(h.k, h.n, h.m) for h in members}) == 1
+    groups = [tuple(range(len(members)))]  # from the read end; past ``keep``, the rest
     for d in orders:
-        refined: list[tuple[int, ...]] = []
-        for g in groups:
-            if len(g) == 1:
-                refined.append(g)
-                continue
-            buckets: dict[int, list[int]] = {}
-            for i in g:
-                buckets.setdefault(trace(members[i], d).scaled_value(p, q, d), []).append(i)
-            refined.extend(tuple(buckets[value]) for value in sorted(buckets))
-        groups = refined
-        yield d, groups
+        if d > 1 or not uniform:
+            refined: list[tuple[int, ...]] = []
+            for g in groups[:keep]:
+                if len(g) == 1:
+                    refined.append(g)
+                    continue
+                buckets: dict[int, list[int]] = {}
+                for i in g:
+                    buckets.setdefault(trace(members[i], d).scaled_value(p, q, d), []).append(i)
+                refined.extend(tuple(buckets[value]) for value in sorted(buckets, reverse=not ascending))
+            rest = tuple(sorted(i for g in refined[keep:] + groups[keep:] for i in g))
+            groups = refined[:keep] + ([rest] if rest else [])
+        yield d, groups if ascending else groups[::-1]
         if all(len(g) == 1 for g in groups):
             return
 
@@ -517,11 +532,17 @@ def verify_theorem(
 ) -> VerificationReport:
     """Verify one cataloged claim by exhaustive enumeration.
 
-    A position claim refines its family once, order by order.  Its order
-    budget starts at 2k+2 (or ``d_max``) and the same refinement is
-    extended, up to k*m + 2, while a tie blocks the claimed position.  A
-    moment claim reads one order per row and reports the largest of them
-    as ``d_used``.  A rank outside ``SUPPORTED_K`` or a negative m raises
+    A position claim refines its family once, order by order, splitting
+    only the first rank + 1 groups from the claimed end (rank 1 for second
+    and second-last, else 0); the evidence ``groups`` lists those groups
+    in ascending order with every other member in one unread rest group at
+    the far end.  The check stops at the first order from 2k+2 (or
+    ``d_max``) on that settles the position, and the same refinement is
+    extended, up to k*m + 2, while a tie blocks it.  It stops before 2k+2
+    only when every read group is a single member and the rest holds at
+    most one, that is, when the whole family is separated.  A moment claim
+    reads one order per row and reports the largest of them as
+    ``d_used``.  A rank outside ``SUPPORTED_K`` or a negative m raises
     ``ParameterError`` before any claim is read.
     """
     if claim_id not in CLAIMS:
@@ -564,7 +585,7 @@ def verify_theorem(
                 CheckResult(label, VIOLATED, "designated hypergraph missing from the enumerated family")
             )
             continue
-        for d_family, groups in _refine(family, alpha, range(d_cap + 1)):
+        for d_family, groups in _refine(family, alpha, range(d_cap + 1), (ascending, rank)):
             status, detail = _positions(groups, member, claim.position)
             if d_family >= d_base and status != UNDECIDED:
                 break

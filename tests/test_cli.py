@@ -324,20 +324,24 @@ def test_multi_hypergraph_file_exits_2(tmp_path, capsys):
 # purpose (for example a new canonical key order) must update the digests
 # and log why.  Re-pinned when canonical keys became incidence-tree codes:
 # member order changed, and every report equals the previous one once its
-# member indices are mapped through the change of order.
+# member indices are mapped through the change of order.  Re-pinned when a
+# position claim began to split only the groups its position reads: the
+# evidence `groups` became those groups plus one unread rest group, and a
+# check whose whole family separated before 2k+2 now reads on to 2k+2;
+# every status and exit code stayed.
 VERIFY_GOLDEN = {
     (3, 5): {
-        "5.1": (0, "6da8de706dce4c5dd6ddd7db31bd3d90a585a1ff5b1971ec3d8449b4c0ecda16"),
-        "5.2": (0, "44f2a2b048fa36ab5189dd4a0971bb61196ea6737d1c7657ed1a5fecdcf08e82"),
-        "5.3": (0, "b994321c8ed0fddbc05f17d377fabd64a06f00b2a7530717334c3813936c10ba"),
-        "5.5": (0, "4496a89d78c5d188b484fe7e540df50163f0ee70d23ad07a982839abd0e4e08c"),
-        "5.6": (0, "c2890cad78fa3d0ed46beb3be42fb7ab37500c5105f23b5d3ffa0b03c7686e2f"),
-        "5.7": (0, "59ba8aed70a7ddf7b796a92eb7030480cb0096da857cde1bc850e1d8d15578d5"),
-        "6.2": (0, "32d0bd35613681cb952951cafc617ed4b2b3a15ee64fe383d22f22b6ad25672d"),
-        "6.3": (0, "23beac33fa419328dd9d8b6bd87c6580bb5b72d7e32bd9eeff561301f1feed39"),
-        "6.4": (0, "7f35bc2169ec0643cdbf008550786c22ad1d9b9ebde06eca158966422f94000c"),
-        "6.5": (0, "f4f5e080a2a2dedb42916be7820c9a0d6858452179f5e9234a7b4600fb6562c0"),
-        "6.6": (0, "c7967c5b26378c1879755b340571e362429a586bf211bf7412b654851bdad7ba"),
+        "5.1": (0, "7d49bc07a338e50cf23455f46f59c3569778b5283eb4cf6ff2c8083f2e1b05cd"),
+        "5.2": (0, "ad5c85ee0b32b12a5698c572b470079ebf5de7e92a08d1013b1a1f7ee7442d2a"),
+        "5.3": (0, "2f65b815f51a5e155bc4aa4bdaf7a14669f3f00eddd5e2fbe17ba85b28a5d0a1"),
+        "5.5": (0, "1d39619926435de54c36815c27e8754228a8cac525962838a0e9e8598c97d738"),
+        "5.6": (0, "aaec1c826f31267cdd45270e07b4f2e661825ac83659c5dd24c7bcd01ff788ef"),
+        "5.7": (0, "158442467b47beb3104bddf73e2eab86e91e483f43d6d886571050e2f5bff4a8"),
+        "6.2": (0, "f2aadf67a4c2738688cdd8181903d608a6619090610adfec8e516bd380b62391"),
+        "6.3": (0, "462f14805adaea592155497da8cb9d232b8f9ca1eb680d05336d7a7a49523f5f"),
+        "6.4": (0, "647c4c61a6a2a9a36a833097b8ca5de03551b501a8d23d16dd171057542cf121"),
+        "6.5": (0, "f6374e728f43970771255a5055f2bd4d38b39e3dbaf30f474cb672db0cbe1a2e"),
+        "6.6": (0, "df92cdff2684abd10ee11e6ab51adf7d606717d169087265595e285bb13c16f6"),
         "7.1": (0, "6147392fbb6c3ee536f193e7651209ebaeaf233b3d8eebc0502ec2bf55d16045"),
         "7.2": (0, "96b40de4d490e93caf7403cb47cd1a0596a518da51e0ce1ac81c0f46c9ba84b6"),
         "7.3": (0, "dcd0422fa60b773015e1c576568952729955f5edac2e48cd5a6796057494c35f"),
@@ -351,7 +355,7 @@ VERIFY_GOLDEN = {
         "5.7": (1, "0b158a84789c0350b9ad42b4420f22a3f2e95cdf885f6207a3b33dc82f93819e"),
         "6.2": (1, "2b5bde2f5be4ecf8f3688051bde2b23275ee57e7fd18711b6ba840e22a3b25fd"),
         "6.3": (1, "9da7cf7907a150cab67f88c76ae2eb3b5fee133d84f23d9d36fe43801f4e1c14"),
-        "6.4": (0, "e0a7560292db788274742a071334519c16856269c5854d83b9ea31b233af2dba"),
+        "6.4": (0, "9b09f6b6178e0af385feca159464f7d78965dc2dfd45e1f1fccfce4c62ccf10c"),
         "6.5": (0, "f77bceabb7740f7453a87dca0ccd760c3ea323d23e9e18830624b057a00b2952"),
         "6.6": (0, "93d18b103134b9461ca4002933d7c9b750026e9431e9fa4b41c06f42266d8a15"),
         "7.1": (1, "4829e9572ae12abb57ec4af2d4f7d3e256321227c7b9f902b067e3075124f356"),
@@ -376,16 +380,16 @@ VERIFY_GOLDEN = {
     },
     (3, 4): {
         "5.1": (0, "0ad58ab5bb2fc119b7cc34a09a62a8fd5e6fc54b965809635257a7884239bdc4"),
-        "5.2": (0, "fd34664569996a38127fefdaafdbae1d5b1fc4e282c29b6664164d9b36f70379"),
+        "5.2": (0, "1bf734a90f6f9a7317e7c5fa43b02e02cfddb492ffdc86de5809eb99adbde1c9"),
         "5.3": (1, "7b23a9ff52f74eeacd90985475ec415145730797387d489427560def32698c1a"),
         "5.5": (0, "4abebce4a529df37ea56436ce660c98199a84b684eb713cab869f6aec9dc5f1b"),
-        "5.6": (0, "1678583fc92a09e5067ba0f82ef80c4031010826c51cc9e40459addd8e737b98"),
+        "5.6": (0, "89bb3c07c06c3f04505af929d6e6af5c14ed500039ca312e1192e399dbc87b8e"),
         "5.7": (0, "9c8f4d1025f3927c0ae766314612bbc3109742ab081a16c7271f1dc47fb009e0"),
-        "6.2": (0, "67884570c169f1448f01afbb8ccf2f3473f5febbf387c2cf1b951a83cc94cf61"),
-        "6.3": (0, "e0a3eef36b4dd92ec0b39ea6e7ec970f8f081b70dc5597121693dc83fbb17c22"),
-        "6.4": (0, "a0a0b8eeaabe1cab7a8167a645bd21eb0d3220163b7d5e6e9b641f2b5f3bd015"),
+        "6.2": (0, "6277c830e0461ad6a5c20aa56cc9cb48c1a7db17f7b0c4e227d388a7644a4eea"),
+        "6.3": (0, "44e23eb1c5f68437815fb155edbd111e51c35839ed2228f81d26e763118875a3"),
+        "6.4": (0, "5cfaaeb21f2116c5b2ccde682ae1ae726ec4115aa7430da37c173111e3f110fc"),
         "6.5": (0, "64cd9ce8600c7c8b20351de384481edf7170ce2492d5ea39a090376d1e672ed8"),
-        "6.6": (0, "5fb7cbac3b6ee826a6957ef71663f018ec4f63b7fe144e5ffd2dfd222fbe71a1"),
+        "6.6": (0, "9e8f6f3b820b3f13f9c831975c64ce00b145577b9880aa5218b9afc56829e3de"),
         "7.1": (1, "4bfdf3cd6be51b21b214d8ed621d6788dbde3f9a905984406703be58f6836e37"),
         "7.2": (0, "d0b739a97b04be9ed47bafcd86d291656d4657a86014b770d7165445f8ef7748"),
         "7.3": (0, "d67f4294d631868aeeff175b1460be9ec45ed8a02477218fea7cf1df3b6b1cd3"),
@@ -399,33 +403,33 @@ VERIFY_GOLDEN = {
 # stop at the first order (>= 2) that settles their end of the ranking.
 VERIFY_EXTENSION_GOLDEN = {
     (3, 5): {
-        "5.1": (0, "0df3b47df2a8687849c1f5c00041f205a75b76bd703a1eaf757ff1c816e4a56c"),
-        "5.2": (0, "318adb7627198b8cbe08fff7a3b9d18f0038e22278b412e9ec248253bb13a959"),
-        "5.3": (0, "349d1a9b99360660e2ed96abd7676f701741962395ded00b787982fed48f8074"),
-        "5.5": (0, "d994a2329daea677871e751cd145730b9847e189f5a1a4b889ec63bf8143eacd"),
-        "5.6": (0, "d7df5b9e070e73257d0ac8d4e45be30734dbd73bdc1644bd439a2abda2b7c5e5"),
-        "5.7": (0, "59ba8aed70a7ddf7b796a92eb7030480cb0096da857cde1bc850e1d8d15578d5"),
-        "6.2": (0, "08f895b3f314acb5c48247a02a8e6061552191199f06730b18dad5472b5efc9b"),
-        "6.3": (0, "4a32f20a2c065cd32a4efa33a69467ccb8b36889b28a07835f419b1c406da136"),
-        "6.4": (0, "f44940aae79fc911a2e61cc165a56ad0572345ffa711bc42292431fffe9ad1b0"),
-        "6.5": (0, "338826d53fa6f5ebe3d3edd56fd22d1621ab221b3af9401d9070b79f88959ed8"),
-        "6.6": (0, "13fd606a0aee5c0a17af2adc943bd05330b5b2632290acfa02e514cecf0b03d6"),
+        "5.1": (0, "43621f9bc839cf566dd836c190ff056c0462330f20f4f57d4046d91560b3d16a"),
+        "5.2": (0, "07a36738fa2530cb2e9a28898b0396d9b0d9e341552f3e37e29370d5c0feff3e"),
+        "5.3": (0, "952054f6b22ed2119771ba7d5d00750e1784a6b47b7ce5e2b094108220411552"),
+        "5.5": (0, "fdb0b9287c60f36647fdfe6690702ecdae07586aeccb385599818ff423774f52"),
+        "5.6": (0, "ace2a262491ee674621a12e382d64170a1211d0dc2be1a359956fb257a45313d"),
+        "5.7": (0, "158442467b47beb3104bddf73e2eab86e91e483f43d6d886571050e2f5bff4a8"),
+        "6.2": (0, "039af3d682b27bbb27014b3e1e136c91083343ef326677e3732351f921ce961e"),
+        "6.3": (0, "61a7cfc4ad9ab02e885017a71ce466d503908ec9b8fe3c2497981cf86378ac8d"),
+        "6.4": (0, "91066403adad5b64e7ef20cae6382ef2f9fde33e1249d6cbd4ef4d29bfbafe6c"),
+        "6.5": (0, "d1ee416b1ae671d91f53842ed84aadcf06dabe74b1243cb63d063f6f945a1b09"),
+        "6.6": (0, "bff7efc3d2747b0a900bf2e1dc86c91cf0150aaf0910624347112d0875e98cc1"),
         "7.1": (0, "6147392fbb6c3ee536f193e7651209ebaeaf233b3d8eebc0502ec2bf55d16045"),
         "7.2": (0, "96b40de4d490e93caf7403cb47cd1a0596a518da51e0ce1ac81c0f46c9ba84b6"),
         "7.3": (0, "dcd0422fa60b773015e1c576568952729955f5edac2e48cd5a6796057494c35f"),
     },
     (4, 5): {
-        "5.1": (0, "3c9f137737c4219eeb29ab2759da46a6dc792437980bce2ff4420961c76f6b55"),
-        "5.2": (0, "9cff1558ae30396c01ac86662002128624f2c501a942e6adaf1a8e0a8c976e54"),
-        "5.3": (0, "55d56fcd691b0c9162193da003c62c076836eec2f0dfbb2e084eb31c4bfe4c22"),
-        "5.5": (0, "1a0a6749e264562f98cac7404e304881191175af4aa374a9b19de73c8ee6149d"),
-        "5.6": (0, "0da8e9b3f428b735879bc43063fca3f8ce6468eb605f4c355451384798929cd8"),
-        "5.7": (0, "4e7ff0ae68bc31c56a6c22e1a73e8f086f4c7f2592716ccb362fe54d8522c370"),
-        "6.2": (0, "f351629781c498898af6b9be0e0facd16e9704f2abcebb8a46f831771223ca6a"),
-        "6.3": (0, "d70df1881b0dfae6168a6d3113503bab9ef40aace487d981deabc25d9f6b11c4"),
-        "6.4": (0, "983a4c2a8c6a65251fd8aa852e08bad7575d79afa661f707749e4236fed5db36"),
-        "6.5": (0, "34aa80d457c42a3e5050088162b0874a39a6a0770d35819649c95b2a33b7b7ec"),
-        "6.6": (0, "08e79b751be767d129675996f35c3e9fd7482e96b32f4c4009c06cbce2917add"),
+        "5.1": (0, "a11286368945fded3d5406b8796dba739908cb1909c604ca9ea9356d8fec0cd5"),
+        "5.2": (0, "fa8dedfdea6bd4abd5dc3bce91d5ab089a2ade3f2d44a97fb1158ddc58701cb4"),
+        "5.3": (0, "f2c5737d08c79fd2d1ba15defa5b3875fc3ecca366716b73dcaef9e7d1d3305e"),
+        "5.5": (0, "5710824f02ff9e8d0b511cef6e4b534aead6d3d071ecf29923ae0c724f718efd"),
+        "5.6": (0, "ccfb53640ebd3b496115c77ed790f601568f9eaa5c24654dbdea93c8b6a58f24"),
+        "5.7": (0, "a88e7c122c3540af4049b76234be0dabc997de9a5b8aef65c793e85a44e12d83"),
+        "6.2": (0, "d48902ee5ddb151ba50522fe58de2445c184247a9f7f1a78d553700a8534a2b6"),
+        "6.3": (0, "a36b95f5d9acb86c9a861a562ec9fc77613560c420b364c151b73cbff8eae9ef"),
+        "6.4": (0, "36a252ed7432cc5112be602dcda336a1d851728e5ef08d9a93742f8632f0bd85"),
+        "6.5": (0, "dd1c436a76c422abc7e22e1885bc299468f9027e03054ad53d57804454a8fb66"),
+        "6.6": (0, "42846c95d9c4697a10d2bea823b250fb5eb4fe4e288fd73147e2eb6a89b58612"),
         "7.1": (0, "c79d67fd03307ce9be65e7a60554936c3f92521bbe3f59a99a79af5947c1ccdd"),
         "7.2": (0, "3add1042b2135482779d9e94527d119867d98510869c408f58fe14d11e7b774c"),
         "7.3": (0, "83d27371571c114ea3cbe0a394794d4269d1380ad56ba4b60b1beae4a4f7ce81"),

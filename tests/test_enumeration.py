@@ -15,9 +15,10 @@ from alphatrace import (
     hypergraph,
     hyperpath,
 )
-from alphatrace import enumeration
+from alphatrace import enumeration, hypercycle
 from alphatrace.canon import canonical_form
 from alphatrace.enumeration import dump_family
+from alphatrace.families import add_pendant_edge
 from alphatrace.hypergraph import diameter, girth
 from reference import labeled_trees_k2
 
@@ -153,3 +154,22 @@ def test_dump_family(tmp_path):
     for entry in index:
         h = loads((tmp_path / entry["file"]).read_text())
         assert canonical_form(h).hex() == entry["canonical"]
+
+
+def test_twin_pruned_growth_keeps_every_member():
+    # trying only the least degree-1 vertex of each edge keeps each class's
+    # first-seen member: every growth equals the one that tries every vertex
+    for k in (2, 3, 4):
+        for m in range(7):
+            seeds = [(HYPERTREE, None, hyperpath(k, 0), m)]
+            seeds += [(LINEAR_UNICYCLIC, g, hypercycle(k, g), m - g) for g in range(3, m + 1)]
+            for cls, g, seed, steps in seeds:
+                layer = {canonical_form(seed): seed}
+                for _ in range(steps):
+                    nxt = {}
+                    for h in layer.values():
+                        for v in range(h.n):
+                            child = add_pendant_edge(h, v)
+                            nxt.setdefault(canonical_form(child), child)
+                    layer = nxt
+                assert enumeration._growth(cls, k, m, g) == tuple(sorted(layer.items())), (cls, k, m, g)

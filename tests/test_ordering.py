@@ -27,10 +27,15 @@ from alphatrace.ordering import (
     LESS_ON_UNIT,
     LESS_OR_EQUAL_ON_UNIT,
     SIGN_CHANGES,
+    CLAIMS,
+    DEGENERATE,
+    HOLDS,
+    UNDECIDED,
+    VIOLATED,
     list_claims,
 )
 from alphatrace.polynomial import AlphaPoly
-from conftest import fractions_calls
+from conftest import corpus, fractions_calls
 from reference import sort_family_reference
 
 HALF = Fraction(1, 2)
@@ -291,3 +296,82 @@ def test_verify_hypothesis_gate():
     report = verify_theorem("5.6", 2, 4, HALF)  # needs k >= 3
     assert not report.holds
     assert report.checks[0].label == "hypothesis"
+
+
+def _read_off_full_refinement(claim, k, m, alpha, max_edges):
+    """Per instance of a position claim: the status, the order at which
+    the loop stops and the designated member's traces through it, when
+    the whole family is refined as ``sort_family`` refines it."""
+    d_base = 2 * k + 2
+    ascending, rank = ordering_module._side(claim.position)
+    out = []
+    for _, family, member in ordering_module._instances(claim, k, m, max_edges):
+        if member is None:
+            out.append((VIOLATED, None, None))
+            continue
+        full = ordering_module._refine(family, alpha, range(max(d_base, k * m + 2) + 1))
+        for d, groups in full:
+            status, _ = ordering_module._positions(groups, member, claim.position)
+            if d >= d_base and status != UNDECIDED:
+                break
+        if status != HOLDS and rank == 1 and groups[0 if ascending else -1] == (member,):
+            status = DEGENERATE
+        traces = [{"d": e, "poly": trace(family[member], e).to_json()} for e in range(d + 1)]
+        out.append((status, d, traces))
+    return out
+
+
+@pytest.mark.parametrize("k, top", [(2, 7), (3, 7), (4, 6)])
+def test_read_limit_keeps_every_verdict(k, top):
+    # a position claim splits only the groups its position can read; each
+    # status equals the one a full refinement gives, and so do d_used and
+    # the designated traces wherever that refinement did not separate the
+    # whole family before 2k+2 (where it did, the check reads on to 2k+2)
+    d_base = 2 * k + 2
+    for m in range(1, top + 1):
+        for cid, claim in CLAIMS.items():
+            if claim.moments or not ordering_module._applies(claim, k, m):
+                continue
+            for alpha in (Fraction(1, 10), HALF, Fraction(9, 10)):
+                report = verify_theorem(cid, k, m, alpha, max_edges=top)
+                want = _read_off_full_refinement(claim, k, m, alpha, top)
+                assert [c.status for c in report.checks] == [s for s, _, _ in want], (cid, m, alpha)
+                assert report.d_used == max([d_base] + [d for _, d, _ in want if d is not None])
+                for check, (_, d_full, traces) in zip(report.checks, want):
+                    if d_full is None:
+                        continue
+                    evidence = check.evidence
+                    if d_full < d_base:
+                        assert d_full <= evidence["d_used"] <= d_base
+                        continue
+                    assert evidence["d_used"] == d_full, (cid, m, alpha)
+                    assert evidence["designated_traces"] == traces, (cid, m, alpha)
+
+
+def test_orders_zero_and_one_are_closed_on_both_families():
+    # the read skip at orders 0 and 1: Tr_0 = n(k-1)^(n-1) and
+    # Tr_1 = alpha(k-1)^(n-1)km depend on (k, n, m) alone
+    for k in (2, 3, 4):
+        for h in corpus(k, 6):
+            scale = (k - 1) ** (h.n - 1)
+            assert trace(h, 0) == AlphaPoly.constant(h.n * scale)
+            assert trace(h, 1) == AlphaPoly.monomial(1, k * h.m * scale)
+
+
+def test_refine_reads_orders_zero_and_one_only_when_m_differs(monkeypatch):
+    reads = []
+
+    def counted(h, d):
+        reads.append(d)
+        return trace(h, d)
+
+    monkeypatch.setattr(ordering_module, "trace", counted)
+    # one 3-graph on 5 vertices with two edges, one with one edge
+    pair = (hyperpath(3, 2), ordering_module.Hypergraph(3, 5, ((0, 1, 2),)))
+    steps = list(ordering_module._refine(pair, HALF, range(4)))
+    assert steps == [(0, [(0, 1)]), (1, [(1,), (0,)])]
+    assert reads == [0, 0, 1, 1]
+    reads.clear()
+    ranked = sort_family(enumerate_hypertrees(3, 4), HALF, 8)
+    assert reads and min(reads) == 2
+    assert all(len(g) == 1 for g in ranked.groups)
