@@ -3,6 +3,10 @@
 Subcommands: trace, compare, sort, enumerate, verify.  Hypergraphs come
 from JSON files or inline family strings like "hyperpath:k=3,m=4".
 The weight alpha is accepted only as an exact rational "p/q".
+Moments come from the structural route (``trace``); ``--cross-check``
+passes each one the output rests on to ``trace.cross_check`` before
+anything prints (``compare``: both operands, orders 0 through the first
+differing order or ``--d-max``).
 
 Exit codes: 0 success (or claim holds), 1 claim violated or method
 disagreement, 2 usage error, 3 budget exceeded.
@@ -22,16 +26,12 @@ from . import enumeration, ordering
 from .errors import AlphaTraceError, BudgetExceeded, MethodDisagreement
 from .families import KINDS, build_family, parse_family_string
 from .hypergraph import HYPERTREE, LINEAR_UNICYCLIC, Hypergraph, loads
-from .trace import check_against_bruteforce, trace, trace_bruteforce, trace_closed
+from .trace import cross_check, trace
 
 EXIT_OK = 0
 EXIT_VIOLATED = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
-
-# ``trace --method``: the library's ``trace`` is the structural route, which
-# counts closed walks for k = 2 and sums infragraphs for k >= 3
-ROUTES = {"structural": trace, "brute": trace_bruteforce, "closed": trace_closed}
 
 
 class UsageError(AlphaTraceError):
@@ -103,9 +103,9 @@ def cmd_trace(args) -> int:
     csv_rows = [["key", "d", "coeff_index", "numerator", "denominator"]]
     lines = [f"moments of {args.source} (k={h.k}, n={h.n}, m={h.m})"]
     for d in range(args.d + 1):
-        poly = ROUTES[args.method](h, d)
+        poly = trace(h, d)
         if args.cross_check:
-            check_against_bruteforce(h, d, poly, args.method)
+            cross_check(h, d, poly)
         results.append({"d": d, "poly": poly.to_json()})
         for idx, (num, den) in enumerate(poly.to_json()):
             csv_rows.append([args.source, d, idx, num, den])
@@ -131,10 +131,13 @@ def cmd_compare(args) -> int:
         verdict = ordering.compare_symbolic(h1, h2, d_max)
         lines = [f"{args.a} vs {args.b}: {verdict.relation}"]
     else:
-        verdict = ordering.compare_at_alpha(
-            h1, h2, alpha, d_max, cross_check=args.cross_check
-        )
+        verdict = ordering.compare_at_alpha(h1, h2, alpha, d_max)
         lines = [f"{args.a} vs {args.b} at alpha={alpha}: {verdict.relation}"]
+    if args.cross_check:  # every order the verdict rests on, before anything prints
+        last = d_max if verdict.first_diff_order is None else verdict.first_diff_order
+        for d in range(last + 1):
+            for h in (h1, h2):
+                cross_check(h, d, trace(h, d))
     if verdict.first_diff_order is not None:
         lines.append(f"  first differing order: {verdict.first_diff_order}")
     _emit(args, verdict.to_json_dict(), lines)
@@ -212,6 +215,7 @@ def build_parser() -> argparse.ArgumentParser:
         "hypergraph JSON file, or family string like hyperpath:k=3,m=4 "
         f"(kinds: {', '.join(KINDS)})"
     )
+    cross_help = "check each moment against the closed forms (orders <= k+2) and the brute force"
 
     def common(p, *formats):
         p.add_argument("--format", choices=("table", "json", *formats), default="table")
@@ -220,8 +224,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("trace", help="moment polynomials of one hypergraph")
     p.add_argument("source", help=source_help)
     p.add_argument("--d", type=int, required=True, help="compute orders 0..d")
-    p.add_argument("--method", choices=tuple(ROUTES), default="structural")
-    p.add_argument("--cross-check", action="store_true")
+    p.add_argument("--cross-check", action="store_true", help=cross_help)
     common(p, "csv")
     p.set_defaults(func=cmd_trace)
 
@@ -231,7 +234,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", help="exact rational in (0,1), e.g. 1/2; required without --symbolic")
     p.add_argument("--d-max", type=int, default=None)
     p.add_argument("--symbolic", action="store_true", help="decide the sign on all of (0,1)")
-    p.add_argument("--cross-check", action="store_true")
+    p.add_argument("--cross-check", action="store_true", help=cross_help)
     common(p)
     p.set_defaults(func=cmd_compare)
 

@@ -5,7 +5,7 @@ the moment sequence Tr_0, Tr_1, ... until the first strict difference.
 At one exact rational alpha = p/q in (0, 1) that walk is one refinement
 loop, ``_refine``: it buckets members on the integers q^d Tr_d(p/q)
 (every order-d moment has degree <= d), one order at a time, until no
-group is tied; it skips orders 0 and 1 where they cannot split.
+group is tied.
 ``compare_at_alpha`` refines a pair, ``sort_family`` keeps the last
 refinement of a family, ties as explicit groups, and a moment row
 buckets its family once, at the row's order.  ``verify_theorem`` walks
@@ -13,7 +13,8 @@ one refinement per family for a position claim, extended in place past
 the starting order budget while a tie blocks the claimed position, and
 splits only the end groups that the position reads.
 ``compare_symbolic`` decides the sign of the first differing moment
-polynomial on all of (0, 1) by exact root isolation.
+polynomial on all of (0, 1) by exact root isolation.  Neither walk reads
+orders 0 and 1 where they cannot differ (``_first_read_order``).
 
 The catalog is data.  A position claim (5.x, 6.x) names a family, a
 position in its ranking and the builder of the hypergraph said to hold
@@ -55,7 +56,7 @@ from .families import (
 )
 from .hypergraph import HYPERTREE, LINEAR_UNICYCLIC, Hypergraph
 from .polynomial import sign_on_open_unit
-from .trace import check_against_bruteforce, trace
+from .trace import trace
 
 LESS = "less"
 GREATER = "greater"
@@ -125,6 +126,12 @@ def _validate_d_max(d_max: int):
         raise OrderingError(f"order bound d_max must be >= 0, got {d_max}")
 
 
+def _first_read_order(members: Iterable[Hypergraph]) -> int:
+    """2 when all ``members`` share (k, n, m), whose Tr_0 = n(k-1)^(n-1) and
+    Tr_1 = alpha(k-1)^(n-1)km are then the same for each; else 0."""
+    return 2 if len({(h.k, h.n, h.m) for h in members}) == 1 else 0
+
+
 def _refine(
     members: Sequence[Hypergraph], alpha: Fraction, orders: Iterable[int], side: tuple[bool, int] | None = None
 ):
@@ -136,15 +143,14 @@ def _refine(
     With ``side = (ascending, rank)`` only the first rank + 1 groups from
     that end are split, which are the full refinement's own since a group
     splits in place; every other member joins one rest group at the far
-    end, in input order, which no later order reads.  Orders 0 and 1 are
-    not read when all members share (k, n, m): Tr_0 = n(k-1)^(n-1) and
-    Tr_1 = alpha(k-1)^(n-1)km are then the same for each."""
+    end, in input order, which no later order reads.  Orders below
+    ``_first_read_order`` are not read."""
     p, q = alpha.numerator, alpha.denominator
     ascending, keep = (side[0], side[1] + 1) if side else (True, len(members))
-    uniform = len({(h.k, h.n, h.m) for h in members}) == 1
+    start = _first_read_order(members)
     groups = [tuple(range(len(members)))]  # from the read end; past ``keep``, the rest
     for d in orders:
-        if d > 1 or not uniform:
+        if d >= start:
             refined: list[tuple[int, ...]] = []
             for g in groups[:keep]:
                 if len(g) == 1:
@@ -161,21 +167,12 @@ def _refine(
             return
 
 
-def compare_at_alpha(
-    h1: Hypergraph,
-    h2: Hypergraph,
-    alpha: Fraction,
-    d_max: int,
-    cross_check: bool = False,
-) -> OrderVerdict:
+def compare_at_alpha(h1: Hypergraph, h2: Hypergraph, alpha: Fraction, d_max: int) -> OrderVerdict:
     """Walk the moments at one exact weight until the first strict difference."""
     _validate_pair(h1, h2)
     _validate_d_max(d_max)
     alpha = _validate_alpha(alpha)
     for d, groups in _refine((h1, h2), alpha, range(d_max + 1)):
-        if cross_check:
-            check_against_bruteforce(h1, d, trace(h1, d))
-            check_against_bruteforce(h2, d, trace(h2, d))
         if len(groups) == 2:
             return OrderVerdict(LESS if groups[0] == (0,) else GREATER, d, d_max)
     return OrderVerdict(EQUAL_UP_TO, None, d_max)
@@ -198,7 +195,7 @@ def compare_symbolic(h1: Hypergraph, h2: Hypergraph, d_max: int) -> SymbolicVerd
     sign gives ``sign-changes``, witnesses isolating all interior roots."""
     _validate_pair(h1, h2)
     _validate_d_max(d_max)
-    for d in range(d_max + 1):
+    for d in range(_first_read_order((h1, h2)), d_max + 1):
         diff = trace(h1, d) - trace(h2, d)
         if diff.is_zero():
             continue

@@ -153,8 +153,9 @@ the degree-tensor slice (alpha = 1), the adjacency slice (alpha = 0)
 and the signless-Laplacian scaling (2^d times alpha = 1/2) are
 evaluations of that polynomial.
 ``trace`` is the structural route (closed walks for k = 2);
-``check_against_bruteforce`` is the one cross-check of any route's
-result against the brute force.
+``cross_check`` checks its result against ``trace_closed`` for d <= k+2
+(at k+2 only the edge and clique tables, see below) and against the
+brute force at every order its budget reaches.
 
 Closed forms.  ``trace_closed`` (orders 0..k+2) builds its own tables
 for e = k and e = k+1 in closed form and sums them with the structural
@@ -327,22 +328,17 @@ def trace_bruteforce(h: Hypergraph, d: int) -> AlphaPoly:
     return components_to_poly(brute_components(h, d))
 
 
-def check_against_bruteforce(
-    h: Hypergraph, d: int, poly: AlphaPoly, route: str = "structural"
-) -> None:
-    """Raise ``MethodDisagreement`` unless ``poly``, the d-th moment by
-    ``route``, equals ``trace_bruteforce(h, d)``."""
-    ref = trace_bruteforce(h, d)
-    if ref != poly:
-        raise MethodDisagreement(
-            f"moment of order {d} disagrees between methods",
-            {
-                "order": d,
-                "hypergraph": h.to_json_dict(),
-                route: poly.to_json(),
-                "bruteforce": ref.to_json(),
-            },
-        )
+def cross_check(h: Hypergraph, d: int, poly: AlphaPoly) -> None:
+    """Raise ``MethodDisagreement`` unless ``poly``, the d-th moment by the
+    structural route, equals ``trace_closed(h, d)`` (for d <= k+2, checked
+    first: cheap and unbudgeted) and ``trace_bruteforce(h, d)``."""
+    routes = (("closed", trace_closed),) if d <= h.k + 2 else ()
+    for route, moment in routes + (("bruteforce", trace_bruteforce),):
+        ref = moment(h, d)
+        if ref != poly:
+            context = {"order": d, "hypergraph": h.to_json_dict(),
+                       "structural": poly.to_json(), route: ref.to_json()}
+            raise MethodDisagreement(f"moment of order {d} disagrees between methods", context)
 
 
 def trace_decomposed(h: Hypergraph, d: int) -> tuple[AlphaPoly, AlphaPoly, AlphaPoly]:
@@ -819,6 +815,6 @@ def trace_closed(h: Hypergraph, d: int) -> AlphaPoly:
 
 
 def trace_k_plus_2(h: Hypergraph) -> AlphaPoly:
-    """The closed-form moment of order k+2; a brute-force cross-check of
+    """The closed-form moment of order k+2; against the structural route
     it tests only the edge and clique tables."""
     return trace_closed(h, h.k + 2)

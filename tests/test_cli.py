@@ -216,17 +216,15 @@ def test_enumerate_budget_exit(capsys):
 
 
 def test_trace_hosts_below_k_vertices(capsys, tmp_path):
-    # every route, cross-checked against the brute force, exits 0 on
-    # edgeless hosts with at most k vertices
+    # the structural route, cross-checked against the closed forms and the
+    # brute force, exits 0 on edgeless hosts with at most k vertices
     for k in (2, 3, 4):
         for n in range(k + 1):
             path = tmp_path / f"empty-{k}-{n}.json"
             path.write_text(json.dumps({"k": k, "n": n, "edges": []}))
-            for method in ("structural", "brute", "closed"):
-                code, out, err = run(capsys, "trace", str(path), "--d", str(k + 2), "--method", method,
-                                     "--cross-check")
-                assert (code, err) == (0, ""), (k, n, method, err)
-                assert f"  d={k + 2}: 0" in out
+            code, out, err = run(capsys, "trace", str(path), "--d", str(k + 2), "--cross-check")
+            assert (code, err) == (0, ""), (k, n, err)
+            assert f"  d={k + 2}: 0" in out
 
 
 def test_trace_walk_budget_exit(monkeypatch, capsys, tmp_path):
@@ -516,8 +514,9 @@ def test_csv_only_where_rows_exist(argv, capsys):
     [
         ("trace", "hyperstar:k=3,m=2", "--d", "4", "--cross-check"),
         ("compare", "hyperpath:k=3,m=3", "hyperstar:k=3,m=3", "--alpha", "1/2", "--cross-check"),
+        ("compare", "hyperpath:k=3,m=3", "hyperstar:k=3,m=3", "--symbolic", "--cross-check"),
     ],
-    ids=["trace", "compare"],
+    ids=["trace", "compare", "compare-symbolic"],
 )
 def test_cross_check_disagreement_exits_1(argv, monkeypatch, capsys):
     trace_module = importlib.import_module("alphatrace.trace")
@@ -534,11 +533,33 @@ def test_cross_check_disagreement_exits_1(argv, monkeypatch, capsys):
     assert '"order": 2' in err and '"structural"' in err
 
 
+def test_cross_check_names_the_closed_route(monkeypatch, capsys):
+    # the closed forms are checked at every order through k+2, before the brute force
+    trace_module = importlib.import_module("alphatrace.trace")
+    closed = trace_module.trace_closed
+
+    def off_by_one(h, d):
+        return closed(h, d) + 1 if d == 4 else closed(h, d)
+
+    monkeypatch.setattr(trace_module, "trace_closed", off_by_one)
+    code, out, err = run(capsys, "trace", "hyperstar:k=3,m=2", "--d", "5", "--cross-check")
+    assert code == 1
+    assert out == ""
+    assert '"order": 4' in err and '"closed"' in err and '"bruteforce"' not in err
+
+
+def test_trace_method_is_gone(capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["trace", "hyperpath:k=3,m=2", "--d", "2", "--method", "brute"])
+    assert info.value.code == 2
+    assert "unrecognized arguments: --method brute" in capsys.readouterr().err
+
+
 def test_trace_brute_budget_exit(monkeypatch, capsys):
     trace_module = importlib.import_module("alphatrace.trace")
     monkeypatch.setattr(trace_module, "MAX_ASSIGNMENT_CLASSES", 1000)
     code, out, err = run(
-        capsys, "trace", "hyperpath:k=3,m=4", "--d", "8", "--method", "brute",
+        capsys, "trace", "hyperpath:k=3,m=4", "--d", "8", "--cross-check",
     )
     assert code == 3
     assert out == ""

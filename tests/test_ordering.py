@@ -10,6 +10,7 @@ from alphatrace import (
     compare_symbolic,
     cycle_with_tail,
     hypercycle,
+    hypergraph,
     hyperpath,
     hyperstar,
     sort_family,
@@ -35,6 +36,7 @@ from alphatrace.ordering import (
     list_claims,
 )
 from alphatrace.polynomial import AlphaPoly
+from alphatrace.trace import cross_check
 from conftest import corpus, fractions_calls
 from reference import sort_family_reference
 
@@ -114,11 +116,15 @@ def test_symbolic_touching_difference(monkeypatch):
         v = compare_symbolic(a, b, 2)
         assert (v.relation, v.first_diff_order, v.witnesses) == (relation, 2, witnesses)
     assert v.to_json_dict()["witnesses"] == []
-    monkeypatch.setattr(ordering_module, "trace", lambda h, d: fake[h][d] if h is a else half * half)
-    assert compare_symbolic(a, b, 0).to_json_dict() == {
+    # orders 0 and 1 are read only where (k, n, m) differ: a 2-edge forest on
+    # the same 7 vertices, against a pair of one (k, n, m) that reads neither
+    forest = hypergraph(3, 7, [(0, 1, 2), (2, 3, 4)])
+    monkeypatch.setattr(ordering_module, "trace", lambda h, d: half * half if h is b else AlphaPoly.zero())
+    assert compare_symbolic(forest, b, 0).to_json_dict() == {
         "relation": LESS_OR_EQUAL_ON_UNIT, "first_diff_order": 0, "d_max": 0,
         "witnesses": [["0", "1"]],
     }
+    assert compare_symbolic(a, b, 1).relation == EQUAL_UP_TO
 
 
 def test_symbolic_cycle_star_vs_split():
@@ -160,9 +166,14 @@ def test_cycle_tail_pair_first_diff_at_2k_plus_2():
     assert (v.relation, v.first_diff_order) == (LESS, 8)
 
 
-def test_cross_check_flag_agrees():
-    v = compare_at_alpha(hyperpath(3, 3), hyperstar(3, 3), HALF, 4, cross_check=True)
+def test_cross_check_agrees():
+    # both operands agree with every second route through the verdict's order
+    a, b = hyperpath(3, 3), hyperstar(3, 3)
+    v = compare_at_alpha(a, b, HALF, 4)
     assert v.relation == LESS
+    for d in range(v.first_diff_order + 1):
+        for h in (a, b):
+            cross_check(h, d, trace(h, d))
 
 
 def test_sort_family_hypertrees():

@@ -807,6 +807,14 @@ def test_walk_keeps_off_the_recursion_limit():
         assert trace(h, d) == trace_closed(h, d), d
 
 
+def test_closed_forms_on_a_200_edge_hyperpath():
+    # complete subhypergraphs come from pairs of edges, not every (k+1)-subset,
+    # so the closed forms stay cheap on a host far past the brute force's cap
+    h = hyperpath(3, 200)
+    for d in range(6):
+        assert trace_closed(h, d) == trace(h, d), d
+
+
 # ---------------------------------------------------------------------------
 # k >= 3 generic hosts: the exterior rooting pass and the closing-order walk
 # ---------------------------------------------------------------------------
