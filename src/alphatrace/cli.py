@@ -158,7 +158,7 @@ def _filter_from_flags(args) -> enumeration.FamilyFilter:
 
 def cmd_sort(args) -> int:
     filt = _filter_from_flags(args)
-    family = enumeration.enumerate_family(filt, max_edges=args.max_edges)
+    family = enumeration.enumerate_family(filt)
     alpha = parse_alpha(args.alpha)
     ranked = ordering.sort_family(family, alpha, _d_max(args, args.k))
     payload = {
@@ -181,7 +181,7 @@ def cmd_sort(args) -> int:
 
 def cmd_enumerate(args) -> int:
     filt = _filter_from_flags(args)
-    family = enumeration.enumerate_family(filt, max_edges=args.max_edges)
+    family = enumeration.enumerate_family(filt)
     if args.out_dir:
         manifest = enumeration.dump_family(args.out_dir, family, filt)
         sys.stdout.write(f"wrote {len(family)} hypergraphs, manifest {manifest}\n")
@@ -194,9 +194,7 @@ def cmd_enumerate(args) -> int:
 
 def cmd_verify(args) -> int:
     alpha = parse_alpha(args.alpha)
-    report = ordering.verify_theorem(
-        args.theorem, args.k, args.m, alpha, d_max=_d_max(args, args.k), max_edges=args.max_edges
-    )
+    report = ordering.verify_theorem(args.theorem, args.k, args.m, alpha, _d_max(args, args.k))
     _emit(args, report.to_json_dict(), [report.to_text()])
     return EXIT_OK if report.holds else EXIT_VIOLATED
 
@@ -246,8 +244,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--girth", type=int)
         p.add_argument("--diameter", type=int)
         p.add_argument("--max-degree-2", action="store_true")
-        p.add_argument("--max-edges", type=int, default=enumeration.DEFAULT_MAX_EDGES,
-                       help="enumeration budget")
         if name == "sort":
             p.add_argument("--alpha", required=True)
             p.add_argument("--d-max", type=int, default=None)
@@ -263,8 +259,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--alpha", required=True)
     p.add_argument("--d-max", type=int, default=None)
-    p.add_argument("--max-edges", type=int, default=enumeration.DEFAULT_MAX_EDGES,
-                   help="enumeration budget")
     common(p)
     p.set_defaults(func=cmd_verify)
 

@@ -9,7 +9,10 @@ m-g edges from the bare hypercycle (attaching a pendant edge can neither
 create a second cycle nor change the girth).
 
 Each growth, one per (class, k, m, girth), runs once per process and is
-kept in key order, and so are the diameters of a hypertree growth.
+kept in key order, and so are the diameters of a hypertree growth.  A
+growth counts the children it builds, one canonical form each, and
+raises ``BudgetExceeded`` past ``MAX_GROWTH_CHILDREN``, naming the layer
+it reached and the members kept so far.
 ``enumerate_family`` is the one entry point: it merges the growths a
 filter needs (one girth, or girths 3..m) and applies the diameter and
 maximum-degree filters to that list, so every family it returns is
@@ -34,8 +37,7 @@ from .hypergraph import (
     diameter,
 )
 
-DEFAULT_MAX_EDGES = 6
-SUPPORTED_K = (2, 3, 4)
+MAX_GROWTH_CHILDREN = 500_000
 
 
 @dataclass(frozen=True, slots=True)
@@ -53,6 +55,8 @@ class FamilyFilter:
     def __post_init__(self):
         if self.cls not in (HYPERTREE, LINEAR_UNICYCLIC):
             raise ParameterError(f"unknown family class {self.cls!r}")
+        if self.k < 2:
+            raise ParameterError(f"k must be >= 2, got {self.k}")
         if self.m < 0:
             raise ParameterError(f"m must be >= 0, got {self.m}")
         if self.girth is not None:
@@ -81,8 +85,8 @@ def _growth(cls: str, k: int, m: int, girth: int | None) -> tuple[tuple[bytes, H
     that is tried.  Each layer, and so each growth, is the one that
     trying every vertex gives, member for member."""
     seed, steps = (hyperpath(k, 0), m) if cls == HYPERTREE else (hypercycle(k, girth), m - girth)
-    layer = {canonical_form(seed): seed}
-    for _ in range(steps):
+    layer, children = {canonical_form(seed): seed}, 0
+    for step in range(steps):
         nxt: dict[bytes, Hypergraph] = {}
         for h in layer.values():
             deg = h.degrees()
@@ -91,6 +95,15 @@ def _growth(cls: str, k: int, m: int, girth: int | None) -> tuple[tuple[bytes, H
                 if deg[v] != 1 or v in least:
                     g = add_pendant_edge(h, v)
                     nxt.setdefault(canonical_form(g), g)
+                    children += 1
+                    if children > MAX_GROWTH_CHILDREN:
+                        raise BudgetExceeded(
+                            f"{cls} growth with k={k}, m={m}, girth={girth} built {children} "
+                            f"children (cap {MAX_GROWTH_CHILDREN}) in layer {step + 1} of {steps}; "
+                            f"members so far: {len(nxt)}",
+                            {"class": cls, "k": k, "m": m, "girth": girth, "layer": step + 1,
+                             "children": children, "members": len(nxt)},
+                        )
         layer = nxt
     for h in layer.values():
         got = classify(h)
@@ -105,23 +118,23 @@ def _diameters(k: int, m: int) -> tuple[int, ...]:
     return tuple(diameter(h) for _, h in _growth(HYPERTREE, k, m, None))
 
 
-def enumerate_hypertrees(
-    k: int, m: int, max_edges: int = DEFAULT_MAX_EDGES
-) -> list[Hypergraph]:
-    return enumerate_family(FamilyFilter(HYPERTREE, k, m), max_edges)
+def enumerate_hypertrees(k: int, m: int) -> list[Hypergraph]:
+    return enumerate_family(FamilyFilter(HYPERTREE, k, m))
 
 
-def enumerate_linear_unicyclic(
-    k: int, m: int, girth: int | None = None, max_edges: int = DEFAULT_MAX_EDGES
-) -> list[Hypergraph]:
-    return enumerate_family(FamilyFilter(LINEAR_UNICYCLIC, k, m, girth=girth), max_edges)
+def enumerate_linear_unicyclic(k: int, m: int, girth: int | None = None) -> list[Hypergraph]:
+    return enumerate_family(FamilyFilter(LINEAR_UNICYCLIC, k, m, girth=girth))
 
 
-def enumerate_family(
-    filt: FamilyFilter, max_edges: int = DEFAULT_MAX_EDGES
-) -> list[Hypergraph]:
-    """A fresh list of the family's members, sorted by canonical key."""
-    _check_budget(filt.k, filt.m, max_edges)
+def enumerate_family(filt: FamilyFilter, max_edges: int | None = None) -> list[Hypergraph]:
+    """A fresh list of the family's members, sorted by canonical key.  An
+    m above an explicit ``max_edges`` raises ``BudgetExceeded`` before any
+    growth runs."""
+    if max_edges is not None and filt.m > max_edges:
+        raise BudgetExceeded(
+            f"enumeration capped at {max_edges} edges, asked m={filt.m}",
+            {"m": filt.m, "cap": max_edges},
+        )
     if filt.cls == HYPERTREE:
         girths = (None,)
     else:
@@ -161,13 +174,3 @@ def dump_family(
     manifest = directory / "manifest.json"
     manifest.write_text(json.dumps(index, indent=2, sort_keys=True) + "\n")
     return manifest
-
-
-def _check_budget(k: int, m: int, max_edges: int):
-    if k not in SUPPORTED_K:
-        raise ParameterError(f"enumeration supports k in {SUPPORTED_K}, got {k}")
-    if m > max_edges:
-        raise BudgetExceeded(
-            f"enumeration capped at {max_edges} edges, asked m={m}",
-            {"m": m, "cap": max_edges},
-        )

@@ -41,7 +41,7 @@ from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
 from .canon import canonical_form
-from .enumeration import DEFAULT_MAX_EDGES, SUPPORTED_K, FamilyFilter, enumerate_family
+from .enumeration import FamilyFilter, enumerate_family
 from .errors import OrderingError, ParameterError
 from .families import (
     cycle_with_pendant_star,
@@ -448,7 +448,7 @@ def _side(position: str) -> tuple[bool, int]:
     return position in (FIRST, SECOND), int(position in (SECOND, SECOND_LAST))
 
 
-def _instances(claim: Claim, k: int, m: int, max_edges: int):
+def _instances(claim: Claim, k: int, m: int):
     """Yield ``(variant, family, member)`` for each variant of a position
     claim; ``member`` is the designated hypergraph's index in ``family``
     or None."""
@@ -461,7 +461,7 @@ def _instances(claim: Claim, k: int, m: int, max_edges: int):
             girth=v if claim.variants == "girth" else None,
             diam=v if claim.variants == "diameter" else None,
         )
-        family = enumerate_family(filt, max_edges)
+        family = enumerate_family(filt)
         designated = claim.build(k, m) if v is None else claim.build(k, m, v)
         key = canonical_form(designated)
         # the family is sorted by canonical key, one member per key
@@ -525,7 +525,6 @@ def verify_theorem(
     m: int,
     alpha: Fraction,
     d_max: int | None = None,
-    max_edges: int = DEFAULT_MAX_EDGES,
 ) -> VerificationReport:
     """Verify one cataloged claim by exhaustive enumeration.
 
@@ -539,14 +538,15 @@ def verify_theorem(
     only when every read group is a single member and the rest holds at
     most one, that is, when the whole family is separated.  A moment claim
     reads one order per row and reports the largest of them as
-    ``d_used``.  A rank outside ``SUPPORTED_K`` or a negative m raises
-    ``ParameterError`` before any claim is read.
+    ``d_used``.  A rank below 2 or a negative m raises ``ParameterError``
+    before any claim is read; a family too large to grow raises
+    ``BudgetExceeded`` from the enumeration.
     """
     if claim_id not in CLAIMS:
         raise OrderingError(f"unknown claim id {claim_id!r}; known: {sorted(CLAIMS)}")
     claim = CLAIMS[claim_id]
-    if k not in SUPPORTED_K:
-        raise ParameterError(f"claims are verified for k in {SUPPORTED_K}, got {k}")
+    if k < 2:
+        raise ParameterError(f"k must be >= 2, got {k}")
     if m < 0:
         raise ParameterError(f"m must be >= 0, got {m}")
     alpha = _validate_alpha(alpha)
@@ -568,14 +568,14 @@ def verify_theorem(
             ascending, rank = _side(pos.position)
             side = ("second " if rank else "") + ("smallest" if ascending else "largest")
             head = f"{side} order-{'(k+2)' if c else '2'} moment"
-            for v, family, member in _instances(pos, k, m, max_edges):
+            for v, family, member in _instances(pos, k, m):
                 label = head if v is None else f"{head} at {pos.variants} {v}"
                 checks.append(_value_check(label, family, member, pos.position, alpha, c * k + 2))
         return VerificationReport(claim_id, claim.description, k, m, alpha, d_used, tuple(checks))
 
     d_used = d_base
     ascending, rank = _side(claim.position)
-    for v, family, member in _instances(claim, k, m, max_edges):
+    for v, family, member in _instances(claim, k, m):
         label = claim.position if v is None else f"{claim.position} (variant {v})"
         if member is None:
             checks.append(

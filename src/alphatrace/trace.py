@@ -708,8 +708,9 @@ def _table_entries(h: Hypergraph, d: int, tables) -> dict[tuple[int, int], int]:
 
 def structural_components(h: Hypergraph, d: int) -> dict[tuple[int, int], int]:
     """Moment table via the infragraph decomposition: the entries of
-    ``_infragraph_table(h, e)`` for e from k to d, in steps of k if peelable."""
-    steps = range(h.k, d + 1, h.k if _peelable(h) else 1)
+    ``_infragraph_table(h, e)`` for e from k to d, in steps of k if peelable.
+    Below order k no table is summed, so peelability is not read."""
+    steps = range(h.k, d + 1, h.k if d < h.k or _peelable(h) else 1)
     return _table_entries(h, d, ((e, _infragraph_table(h, e)) for e in steps))
 
 
@@ -779,12 +780,12 @@ def trace(h: Hypergraph, d: int) -> AlphaPoly:
 
 def adjacency_moment(h: Hypergraph, d: int) -> int:
     """The d-th moment of the pure adjacency tensor (the alpha = 0 value)."""
-    return _structural_components_cached(h, d).scaled_value(0, 1)
+    return trace(h, d).scaled_value(0, 1)
 
 
 def signless_laplacian_moment(h: Hypergraph, d: int) -> int:
     """Moment of D + A, which equals 2^d times the alpha = 1/2 evaluation."""
-    return _structural_components_cached(h, d).scaled_value(1, 2, d)
+    return trace(h, d).scaled_value(1, 2, d)
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ from itertools import combinations
 
 import pytest
 
-from alphatrace import trace
+from alphatrace import enumeration, trace
 from alphatrace.cli import main, parse_alpha
 from alphatrace.cli import UsageError
 from alphatrace.families import KINDS, build_family, parse_family_string
@@ -101,17 +101,15 @@ def test_compare_bad_operand(capsys):
         (("trace", "{broken}", "--d", "2"), "broken.json"),
         # a number that is not an integer is rejected, not truncated
         (("trace", "{fractional}", "--d", "2"), "must be an integer"),
-        # a rank the enumeration does not support is a usage error, not a budget
-        (("verify", "--theorem", "6.4", "--k", "5", "--m", "3", "--alpha", "1/2"), "got 5"),
-        # and so it is for every claim, before its k and m hypotheses are read
-        (("verify", "--theorem", "5.3", "--k", "5", "--m", "3", "--alpha", "1/2"), "got 5"),
-        (("verify", "--theorem", "6.4", "--k", "0", "--m", "3", "--alpha", "1/2"), "got 0"),
+        # a rank below 2 is a usage error, not a budget, for every claim and before
+        # its k and m hypotheses are read
         (("verify", "--theorem", "6.4", "--k", "1", "--m", "3", "--alpha", "1/2"), "got 1"),
+        (("verify", "--theorem", "5.3", "--k", "1", "--m", "3", "--alpha", "1/2"), "got 1"),
+        (("verify", "--theorem", "6.4", "--k", "0", "--m", "3", "--alpha", "1/2"), "got 0"),
         (("verify", "--theorem", "6.4", "--k", "-3", "--m", "3", "--alpha", "1/2"), "got -3"),
         (("verify", "--theorem", "6.4", "--k", "3", "--m", "-2", "--alpha", "1/2"),
          "m must be >= 0, got -2"),
-        (("sort", "--class", "hypertree", "--k", "5", "--m", "2", "--alpha", "1/2",
-          "--max-edges", "10"), "got 5"),
+        (("sort", "--class", "hypertree", "--k", "1", "--m", "2", "--alpha", "1/2"), "got 1"),
         # a negative order bound or edge count is a usage error, not an empty answer
         (("compare", "hyperpath:k=3,m=3", "hyperstar:k=3,m=3", "--alpha", "1/2",
           "--d-max", "-1"), "--d-max must be >= 0"),
@@ -134,9 +132,9 @@ def test_compare_bad_operand(capsys):
         (("compare", "hyperpath:k=3,m=2,k=4", "hyperstar:k=4,m=2", "--alpha", "1/2"),
          "sets k more than once"),
     ],
-    ids=["family-string", "arms", "json-file", "fractional-json", "k5-verify",
-         "k5-verify-5.3", "k0-verify", "k1-verify", "negative-k-verify", "negative-m-verify",
-         "k5-sort", "compare-d-max", "sort-d-max", "verify-d-max", "trace-d", "compare-no-alpha",
+    ids=["family-string", "arms", "json-file", "fractional-json", "k1-verify",
+         "k1-verify-5.3", "k0-verify", "negative-k-verify", "negative-m-verify",
+         "k1-sort", "compare-d-max", "sort-d-max", "verify-d-max", "trace-d", "compare-no-alpha",
          "symbolic-decimal-alpha", "enumerate-m",
          "family-string-extra", "trace-family-extra", "family-string-repeat"],
 )
@@ -209,10 +207,15 @@ def test_enumerate_dump(tmp_path, capsys):
     assert len(manifest) == 2
 
 
-def test_enumerate_budget_exit(capsys):
-    code, _, err = run(capsys, "enumerate", "--class", "hypertree", "--k", "3", "--m", "9")
+def test_enumerate_budget_exit(monkeypatch, capsys):
+    # a growth past its cap on children built exits 3 and says how far it got
+    monkeypatch.setattr(enumeration, "MAX_GROWTH_CHILDREN", 30)
+    enumeration._growth.cache_clear()
+    code, out, err = run(capsys, "enumerate", "--class", "hypertree", "--k", "3", "--m", "9")
+    enumeration._growth.cache_clear()
     assert code == 3
-    assert "budget" in err.lower()
+    assert out == ""
+    assert "budget exceeded" in err and "members so far" in err
 
 
 def test_trace_hosts_below_k_vertices(capsys, tmp_path):
@@ -549,10 +552,16 @@ def test_cross_check_names_the_closed_route(monkeypatch, capsys):
 
 
 def test_trace_method_is_gone(capsys):
-    with pytest.raises(SystemExit) as info:
-        main(["trace", "hyperpath:k=3,m=2", "--d", "2", "--method", "brute"])
-    assert info.value.code == 2
-    assert "unrecognized arguments: --method brute" in capsys.readouterr().err
+    # options that are gone are rejected, not ignored
+    for argv, gone in (
+        (["trace", "hyperpath:k=3,m=2", "--d", "2", "--method", "brute"], "--method brute"),
+        (["verify", "--theorem", "6.4", "--k", "3", "--m", "4", "--alpha", "1/2",
+          "--max-edges", "7"], "--max-edges 7"),
+    ):
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 2
+        assert f"unrecognized arguments: {gone}" in capsys.readouterr().err
 
 
 def test_trace_brute_budget_exit(monkeypatch, capsys):

@@ -104,6 +104,10 @@ def test_filter_validation():
         FamilyFilter(LINEAR_UNICYCLIC, 3, 4, girth=5)
     with pytest.raises(ParameterError):
         FamilyFilter(HYPERTREE, 3, -1)
+    # below rank 2 neither class has a member: refused, not an empty list
+    for cls in (HYPERTREE, LINEAR_UNICYCLIC):
+        with pytest.raises(ParameterError, match="got 1"):
+            FamilyFilter(cls, 1, 2)
     # the wrappers go through the same filter
     with pytest.raises(ParameterError):
         enumerate_hypertrees(3, -1)
@@ -111,12 +115,23 @@ def test_filter_validation():
         enumerate_linear_unicyclic(3, 5, girth=6)
 
 
-def test_budget():
-    with pytest.raises(BudgetExceeded):
-        enumerate_hypertrees(3, 9)
-    # an unsupported rank is a usage error, not a budget
-    with pytest.raises(ParameterError):
-        enumerate_hypertrees(5, 3)
+def test_budget(monkeypatch):
+    # a growth stops past its cap on children built and says how far it got
+    monkeypatch.setattr(enumeration, "MAX_GROWTH_CHILDREN", 30)
+    enumeration._growth.cache_clear()
+    with pytest.raises(BudgetExceeded, match="members so far") as info:
+        enumerate_linear_unicyclic(3, 7, girth=3)
+    assert info.value.context == {
+        "class": LINEAR_UNICYCLIC, "k": 3, "m": 7, "girth": 3, "layer": 3,
+        "children": 31, "members": 7,
+    }
+    enumeration._growth.cache_clear()
+    # an explicit edge cap refuses before any work
+    with pytest.raises(BudgetExceeded, match="capped at 6 edges"):
+        enumerate_family(FamilyFilter(HYPERTREE, 3, 7), 6)
+    # a rank below 2 is a usage error, not a budget
+    with pytest.raises(ParameterError, match="got 1"):
+        enumerate_hypertrees(1, 3)
 
 
 def test_deterministic_order_under_relabeling():

@@ -229,7 +229,7 @@ def test_sort_family_matches_fraction_ranking(k):
 def test_sort_family_fraction_calls_do_not_grow():
     # the ranking keys are integers: only validating alpha touches fractions
     small = enumerate_linear_unicyclic(3, 6)
-    large = enumerate_linear_unicyclic(3, 7, max_edges=7)
+    large = enumerate_linear_unicyclic(3, 7)
     assert len(large) > len(small)
     calls = [fractions_calls(lambda: sort_family(f, Fraction(1, 3), 8)) for f in (small, large)]
     assert calls[0] == calls[1] < 50
@@ -238,7 +238,7 @@ def test_sort_family_fraction_calls_do_not_grow():
 def test_moment_rows_fraction_calls_do_not_grow():
     # a moment row ranks on integer keys; only its printed values are Fractions
     def verify(m):
-        return verify_theorem("7.3", 3, m, Fraction(1, 3), max_edges=7)
+        return verify_theorem("7.3", 3, m, Fraction(1, 3))
 
     for m in (6, 7):
         verify(m)  # warm the family and moment caches
@@ -309,14 +309,14 @@ def test_verify_hypothesis_gate():
     assert report.checks[0].label == "hypothesis"
 
 
-def _read_off_full_refinement(claim, k, m, alpha, max_edges):
+def _read_off_full_refinement(claim, k, m, alpha):
     """Per instance of a position claim: the status, the order at which
     the loop stops and the designated member's traces through it, when
     the whole family is refined as ``sort_family`` refines it."""
     d_base = 2 * k + 2
     ascending, rank = ordering_module._side(claim.position)
     out = []
-    for _, family, member in ordering_module._instances(claim, k, m, max_edges):
+    for _, family, member in ordering_module._instances(claim, k, m):
         if member is None:
             out.append((VIOLATED, None, None))
             continue
@@ -344,8 +344,8 @@ def test_read_limit_keeps_every_verdict(k, top):
             if claim.moments or not ordering_module._applies(claim, k, m):
                 continue
             for alpha in (Fraction(1, 10), HALF, Fraction(9, 10)):
-                report = verify_theorem(cid, k, m, alpha, max_edges=top)
-                want = _read_off_full_refinement(claim, k, m, alpha, top)
+                report = verify_theorem(cid, k, m, alpha)
+                want = _read_off_full_refinement(claim, k, m, alpha)
                 assert [c.status for c in report.checks] == [s for s, _, _ in want], (cid, m, alpha)
                 assert report.d_used == max([d_base] + [d for _, d, _ in want if d is not None])
                 for check, (_, d_full, traces) in zip(report.checks, want):

@@ -566,9 +566,9 @@ def test_peeled_infragraphs_match_walk_and_reference():
     rng = random.Random(13)
     sampled = []
     for k, m in ((2, 7), (3, 7), (4, 6)):
-        family = enumerate_hypertrees(k, m, m) + enumerate_linear_unicyclic(k, m, max_edges=m)
+        family = enumerate_hypertrees(k, m) + enumerate_linear_unicyclic(k, m)
         peelable = [h for h in family if _peelable(h)]
-        assert len(peelable) == (len(enumerate_hypertrees(k, m, m)) if k == 2 else len(family))
+        assert len(peelable) == (len(enumerate_hypertrees(k, m)) if k == 2 else len(family))
         for h in peelable:
             for e in range(1, 2 * k + 5):
                 assert _by_edge(_peeled_vectors(h, e)) == _pairs(_veblen_vectors(h, e)), (h, e)
@@ -666,7 +666,7 @@ def test_tree_branch_off_gives_equal_tables(monkeypatch):
     # with every W' taken from the shape route, the tables stay the same
     hosts = [(K6_MINUS_P5, 8)]
     for k, m in ((2, 7), (3, 7), (4, 6)):
-        family = enumerate_hypertrees(k, m, m) + enumerate_linear_unicyclic(k, m, max_edges=m)
+        family = enumerate_hypertrees(k, m) + enumerate_linear_unicyclic(k, m)
         hosts += [(h, 2 * k + 4) for h in family]
 
     def tables():
@@ -707,6 +707,17 @@ def test_cold_walked_host_orders_once():
         trace(h, d)
     assert not _peelable(h)
     assert _closing_order.cache_info().misses == 1
+
+
+def test_orders_below_k_build_no_closing_order():
+    # below order k no table is summed, so no host's closing order is built
+    for k in (3, 4, 5):
+        h = cycle_with_pendant_star(k, 3, 5)
+        for cache in (_structural_components_cached, _infragraph_table, _closing_order):
+            cache.cache_clear()
+        for d in range(k):
+            assert trace(h, d) == trace_closed(h, d)
+        assert _closing_order.cache_info().misses == 0
 
 
 # ---------------------------------------------------------------------------
