@@ -105,6 +105,9 @@ def test_compare_bad_operand(capsys):
         # its k and m hypotheses are read
         (("verify", "--theorem", "6.4", "--k", "1", "--m", "3", "--alpha", "1/2"), "got 1"),
         (("verify", "--theorem", "5.3", "--k", "1", "--m", "3", "--alpha", "1/2"), "got 1"),
+        # a rank that now verifies still refuses a weight outside (0, 1) before enumerating
+        (("verify", "--theorem", "6.4", "--k", "5", "--m", "3", "--alpha", "1"),
+         "alpha must lie strictly inside (0, 1), got 1"),
         (("verify", "--theorem", "6.4", "--k", "0", "--m", "3", "--alpha", "1/2"), "got 0"),
         (("verify", "--theorem", "6.4", "--k", "-3", "--m", "3", "--alpha", "1/2"), "got -3"),
         (("verify", "--theorem", "6.4", "--k", "3", "--m", "-2", "--alpha", "1/2"),
@@ -133,7 +136,7 @@ def test_compare_bad_operand(capsys):
          "sets k more than once"),
     ],
     ids=["family-string", "arms", "json-file", "fractional-json", "k1-verify",
-         "k1-verify-5.3", "k0-verify", "negative-k-verify", "negative-m-verify",
+         "k1-verify-5.3", "k5-verify", "k0-verify", "negative-k-verify", "negative-m-verify",
          "k1-sort", "compare-d-max", "sort-d-max", "verify-d-max", "trace-d", "compare-no-alpha",
          "symbolic-decimal-alpha", "enumerate-m",
          "family-string-extra", "trace-family-extra", "family-string-repeat"],
